@@ -39,6 +39,7 @@ from .geometry import (
     orientation,
     perimeter,
     polyline_length,
+    s_bound,
 )
 from .random_shapes import snap_point
 from .stabbing import MultiplicityReport, max_line_multiplicity
@@ -312,9 +313,7 @@ def _no_three_collinear(points: list[Point]) -> bool:
     return True
 
 
-def diameter_chord_arc(
-    inner: ConvexPolygon, bow: float, m: int, seed: int = 0
-) -> Polyline:
+def diameter_chord_arc(inner: ConvexPolygon, bow: float, m: int) -> Polyline:
     """Open bowed arc spanning the diameter pair of the inner body.
 
     The bump points toward the centroid; all vertices stay strictly inside
@@ -323,7 +322,6 @@ def diameter_chord_arc(
     """
     if bow <= 0:
         raise PreconditionError("bow must be positive")
-    del seed  # deterministic; kept for interface stability
     _, a, b = diameter(inner)
     cx, cy = inner.centroid()
     pts = _bowed_arc(a, b, snap_point(cx, cy), bow, m)
@@ -410,25 +408,6 @@ def _assemble(opens: list[list[Point]]) -> list[Point]:
     return verts
 
 
-def _verified_result(
-    body: ConvexPolygon,
-    params: ConstructionParams,
-    verts: list[Point],
-    target: float,
-    retries_used: int,
-) -> tuple[ConstructionResult | None, MultiplicityReport | None]:
-    curve = Polyline(tuple(verts))
-    length = polyline_length(curve)
-    if length < target - params.eps:
-        return None, None
-    if any(contains(body, v) == EXTERIOR for v in curve.vertices):
-        return None, None
-    report = max_line_multiplicity(curve)
-    if report.count > params.r:
-        return None, report
-    return ConstructionResult(curve, length, report, target, retries_used, params), None
-
-
 def _gap_anchor(body: ConvexPolygon) -> tuple[int, tuple[float, float]]:
     """Common sector: the first diameter endpoint, as (ring index, direction
     from the centroid)."""
@@ -445,112 +424,6 @@ def _gap_anchor(body: ConvexPolygon) -> tuple[int, tuple[float, float]]:
 def _default_inset(body: ConvexPolygon, params: ConstructionParams) -> float:
     d, _, _ = diameter(body)
     return params.eps / (8.0 * max(1, params.n_loops) * d)
-
-
-def build_even_curve(body: ConvexPolygon, params: ConstructionParams) -> ConstructionResult:
-    """Open curve of length at least s(K, r) - eps with multiplicity <= r, r even.
-
-    r/2 nested strictly convex loops, each opened near the common sector and
-    entered exactly at the previous loop's stopping vertex.
-    """
-    if params.r % 2 != 0:
-        raise PreconditionError("build_even_curve needs an even r")
-    target = _s_bound(body, params.r)
-    anchor_idx, anchor_dir = _gap_anchor(body)
-    n = params.n_loops
-    failing_report: MultiplicityReport | None = None
-    for retry in range(params.max_retries):
-        rng = np.random.default_rng([params.seed, retry])
-        default_inset = params.inset if params.inset is not None else _default_inset(body, params)
-        inset, gap, m_params = default_inset, params.gap, params
-        inset_min = max(default_inset / 32.0, _INSET_FLOOR)
-        for _shrink in range(12):
-            try:
-                _, opens, _ = _chain_loops(
-                    body, m_params, rng, inset, gap, n, anchor_idx, anchor_dir
-                )
-            except DegeneracyError:
-                inset /= 2.0
-                if inset < _INSET_FLOOR:
-                    break
-                continue
-            verts = _assemble(opens)
-            length = polyline_length(Polyline(tuple(verts)))
-            if length >= target - 0.9 * params.eps:
-                result, failure = _verified_result(body, params, verts, target, retry)
-                if result is not None:
-                    return result
-                failing_report = failure or failing_report
-                break  # verification failed; re-jitter
-            # too short: tighten the inset first, then the gap, then densify
-            if inset > inset_min:
-                inset /= 2.0
-            elif gap > 0.0025:
-                gap /= 2.0
-            else:
-                m_params = replace(m_params, m=min(2 * m_params.m, 4096))
-                inset, gap = default_inset / 8.0, params.gap / 2.0
-    raise ConstructionError(
-        f"even construction failed after {params.max_retries} retries", failing_report
-    )
-
-
-def build_odd_curve(body: ConvexPolygon, params: ConstructionParams) -> ConstructionResult:
-    """Open curve of length at least s(K, r) - eps with multiplicity <= r, r odd.
-
-    floor(r/2) nested loops as in the even case; the innermost stops just
-    short of the sector, and a bowed arc runs to the ring vertex farthest
-    from the stop, realizing the near-diameter term of the threshold.
-    """
-    if params.r % 2 != 1:
-        raise PreconditionError("build_odd_curve needs an odd r")
-    if params.r < 3:
-        raise PreconditionError("odd construction needs r >= 3")
-    target = _s_bound(body, params.r)
-    anchor_idx, anchor_dir = _gap_anchor(body)
-    n = params.n_loops
-    failing_report: MultiplicityReport | None = None
-    for retry in range(params.max_retries):
-        rng = np.random.default_rng([params.seed, 10_000 + retry])
-        default_inset = params.inset if params.inset is not None else _default_inset(body, params)
-        inset, gap, m_params = default_inset, params.gap, params
-        inset_min = max(default_inset / 32.0, _INSET_FLOOR)
-        for _shrink in range(12):
-            try:
-                rings, opens, starts = _chain_loops(
-                    body, m_params, rng, inset, gap, n, anchor_idx, anchor_dir
-                )
-                inner = rings[-1]
-                stop = opens[-1][-1]
-                far = _farthest_vertex(inner, stop)
-                start_vertex = inner.ring[starts[-1]]
-                gap_chord = math.dist(stop.xy, start_vertex.xy)
-                bow = max(gap_chord / 12.0, 1e-6)
-                arc = _bowed_arc(stop, far, start_vertex, bow, max(16, m_params.m // 8))
-                _check_arc(inner, arc, start_vertex)
-            except (DegeneracyError, PreconditionError):
-                inset /= 2.0
-                if inset < _INSET_FLOOR:
-                    break
-                continue
-            verts = _assemble(opens) + arc[1:]
-            length = polyline_length(Polyline(tuple(verts)))
-            if length >= target - 0.9 * params.eps:
-                result, failure = _verified_result(body, params, verts, target, retry)
-                if result is not None:
-                    return result
-                failing_report = failure or failing_report
-                break
-            if inset > inset_min:
-                inset /= 2.0
-            elif gap > 0.0025:
-                gap /= 2.0
-            else:
-                m_params = replace(m_params, m=min(2 * m_params.m, 4096))
-                inset, gap = default_inset / 8.0, params.gap / 2.0
-    raise ConstructionError(
-        f"odd construction failed after {params.max_retries} retries", failing_report
-    )
 
 
 def _farthest_vertex(ring: ConvexPolygon, origin: Point) -> Point:
@@ -580,14 +453,63 @@ def _check_arc(inner: ConvexPolygon, arc: list[Point], triangle_apex: Point) -> 
         raise DegeneracyError("arc has collinear vertices")
 
 
+def _odd_tail(inner: ConvexPolygon, stop: Point, start_idx: int, m: int) -> list[Point]:
+    """Bowed arc from the innermost loop's stop to the inner ring vertex
+    farthest from it, bulging toward the loop's start vertex; the stop
+    itself, which ends the loops, is left out."""
+    far = _farthest_vertex(inner, stop)
+    start_vertex = inner.ring[start_idx]
+    bow = max(math.dist(stop.xy, start_vertex.xy) / 12.0, 1e-6)
+    arc = _bowed_arc(stop, far, start_vertex, bow, max(16, m // 8))
+    _check_arc(inner, arc, start_vertex)
+    return arc[1:]
+
+
 def build_curve(body: ConvexPolygon, params: ConstructionParams) -> ConstructionResult:
-    """Dispatch on the parity of r."""
-    if params.r % 2 == 0:
-        return build_even_curve(body, params)
-    return build_odd_curve(body, params)
+    """Open curve of length at least s(K, r) - eps with multiplicity <= r.
 
-
-def _s_bound(body: ConvexPolygon, r: int) -> float:
-    from .verifier import s_bound  # deferred: verifier builds on this module
-
-    return s_bound(body, r)
+    floor(r/2) nested strictly convex loops, each opened near the common
+    sector and entered exactly at the previous loop's stopping vertex; for
+    odd r a bowed arc then runs from the innermost stop to the ring vertex
+    farthest from it, realizing the near-diameter term of the threshold.
+    """
+    target = s_bound(body, params.r)
+    odd = params.r % 2
+    anchor_idx, anchor_dir = _gap_anchor(body)
+    default_inset = params.inset if params.inset is not None else _default_inset(body, params)
+    inset_min = max(default_inset / 32.0, _INSET_FLOOR)
+    failing_report: MultiplicityReport | None = None
+    for retry in range(params.max_retries):
+        rng = np.random.default_rng([params.seed, 10_000 * odd + retry])
+        inset, gap, m_params = default_inset, params.gap, params
+        for _shrink in range(12):
+            try:
+                rings, opens, starts = _chain_loops(
+                    body, m_params, rng, inset, gap, params.n_loops, anchor_idx, anchor_dir
+                )
+                tail = _odd_tail(rings[-1], opens[-1][-1], starts[-1], m_params.m) if odd else []
+            except DegeneracyError:
+                inset /= 2.0
+                if inset < _INSET_FLOOR:
+                    break
+                continue
+            curve = Polyline(tuple(_assemble(opens) + tail))
+            length = polyline_length(curve)
+            if length >= target - 0.9 * params.eps:
+                if all(contains(body, v) != EXTERIOR for v in curve.vertices):
+                    report = max_line_multiplicity(curve)
+                    if report.count <= params.r:
+                        return ConstructionResult(curve, length, report, target, retry, params)
+                    failing_report = report
+                break  # verification failed; re-jitter
+            # too short: tighten the inset first, then the gap, then densify
+            if inset > inset_min:
+                inset /= 2.0
+            elif gap > 0.0025:
+                gap /= 2.0
+            else:
+                m_params = replace(m_params, m=min(2 * m_params.m, 4096))
+                inset, gap = default_inset / 8.0, params.gap / 2.0
+    raise ConstructionError(
+        f"construction failed after {params.max_retries} retries", failing_report
+    )

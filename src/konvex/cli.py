@@ -28,8 +28,15 @@ from .svg import emit_svg, load_scene
 from .verifier import check_upper_bound, falsify, prop1_check, s_bound
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("KONVEX_SEED", "0"))
+def _seed(args) -> int:
+    """--seed when given, else KONVEX_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("KONVEX_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise PreconditionError(f"KONVEX_SEED must be an integer, got {raw!r}") from None
 
 
 def _read(path: str) -> str:
@@ -91,7 +98,7 @@ def cmd_construct(args) -> int:
     body = parse_polygon(_read(args.body))
     eps = args.eps if args.eps is not None else 0.05 * s_bound(body, args.r)
     params = ConstructionParams(
-        r=args.r, eps=eps, m=args.m, gap=args.gap, seed=args.seed, max_retries=args.retries
+        r=args.r, eps=eps, m=args.m, gap=args.gap, seed=_seed(args), max_retries=args.retries
     )
     result = build_curve(body, params)
     out = Path(args.out)
@@ -132,7 +139,7 @@ def cmd_verify(args) -> int:
 
 def cmd_falsify(args) -> int:
     body = parse_polygon(_read(args.body))
-    report = falsify(body, args.r, args.trials, args.seed)
+    report = falsify(body, args.r, args.trials, _seed(args))
     ev = report.evidence
     human = (
         f"trials = {ev['trials']}, curves within budget r = {args.r}: {ev['qualifying']}\n"
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("body")
     cmd.add_argument("r", type=int)
     cmd.add_argument("--eps", type=float, default=None, help="length slack (default 0.05 s)")
-    cmd.add_argument("--seed", type=int, default=_default_seed())
+    cmd.add_argument("--seed", type=int, default=None, help="default: $KONVEX_SEED or 0")
     cmd.add_argument("--out", default="construction", help="output prefix")
     cmd.add_argument("--m", type=int, default=256, help="samples per loop")
     cmd.add_argument("--gap", type=float, default=0.01, help="loop opening fraction")
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("body")
     cmd.add_argument("r", type=int)
     cmd.add_argument("--trials", type=int, default=1000)
-    cmd.add_argument("--seed", type=int, default=_default_seed())
+    cmd.add_argument("--seed", type=int, default=None, help="default: $KONVEX_SEED or 0")
 
     cmd = add("prop1", cmd_prop1, "discrete convexity characterization of a ring")
     cmd.add_argument("polyline")

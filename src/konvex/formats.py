@@ -14,10 +14,12 @@ import json
 from fractions import Fraction
 from typing import Iterable
 
+from .builder import ConstructionParams, ConstructionResult
 from .errors import ParseError, PreconditionError
 from .geometry import ConvexPolygon, Line, Point, Polyline
 from .projections import ProjectionProfile
 from .stabbing import Component, MultiplicityReport
+from .verifier import BoundReport, Prop1Result
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -152,9 +154,6 @@ def multiplicity_report_from_dict(doc: dict) -> MultiplicityReport:
 
 
 def _jsonable(value):
-    from .builder import ConstructionParams, ConstructionResult
-    from .verifier import BoundReport, Prop1Result
-
     if isinstance(value, Line):
         return line_to_dict(value)
     if isinstance(value, MultiplicityReport):

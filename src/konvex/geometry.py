@@ -152,9 +152,6 @@ class Polyline:
         if self.closed:
             yield Segment(verts[-1], verts[0])
 
-    def segment_count(self) -> int:
-        return len(self.vertices) - (0 if self.closed else 1)
-
     def float_vertices(self) -> list[tuple[float, float]]:
         return [v.xy for v in self.vertices]
 
@@ -264,6 +261,17 @@ def diameter(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
     return (math.sqrt(float(best[0])), ring[i], ring[j])
 
 
+def s_bound(body: ConvexPolygon, r: int) -> float:
+    """Threshold length: r*p/2 for even r, (r-1)*p/2 + d for odd r."""
+    if r < 2:
+        raise PreconditionError("the multiplicity budget r must be at least 2")
+    p = perimeter(body)
+    if r % 2 == 0:
+        return r * p / 2.0
+    d, _, _ = diameter(body)
+    return (r - 1) * p / 2.0 + d
+
+
 def diameter_bruteforce(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
     """O(n^2) exact pair scan; the independent oracle for diameter()."""
     ring = polygon.ring
@@ -300,6 +308,12 @@ def contains(polygon: ConvexPolygon, p: Point) -> str:
         if side == COLLINEAR:
             on_edge = True
     return BOUNDARY if on_edge else INTERIOR
+
+
+def _require_inside(poly: Polyline, body: ConvexPolygon) -> None:
+    for v in poly.vertices:
+        if contains(body, v) == EXTERIOR:
+            raise PreconditionError("polyline is not contained in the body")
 
 
 def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
@@ -409,7 +423,3 @@ class Line:
         bookkeeping needs; it is not arc length.
         """
         return self.ny * p.x - self.nx * p.y
-
-    def translated(self, delta: float) -> "Line":
-        """Parallel line moved by delta along the unit normal."""
-        return Line(self.nx, self.ny, self.c + Fraction(delta) * Fraction(math.sqrt(float(self.norm_sq()))))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import ConvexPolygon, Polyline, perimeter, polyline_length
+from .geometry import ConvexPolygon, Polyline, Segment, perimeter, polyline_length
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -118,16 +118,11 @@ def chord_term(poly: Polyline) -> ChordTerm:
     ends coincide (alpha0 = 0)."""
     if poly.closed:
         raise PreconditionError("chord_term is defined for open polylines")
-    (ax, ay), (bx, by) = poly.vertices[0].xy, poly.vertices[-1].xy
-    l0 = math.dist((ax, ay), (bx, by))
+    chord = Segment(poly.vertices[0], poly.vertices[-1])
+    l0 = chord.length()
     if l0 == 0.0:
         return ChordTerm(0.0, 0.0)
-    alpha0 = math.atan2(by - ay, bx - ax)
-    if alpha0 < 0.0:
-        alpha0 += math.pi
-    if alpha0 >= math.pi:
-        alpha0 -= math.pi
-    return ChordTerm(l0, alpha0)
+    return ChordTerm(l0, chord.angle())
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,13 @@ import numpy as np
 
 from .errors import PreconditionError, VerificationError
 from .geometry import (
-    EXTERIOR,
     ConvexPolygon,
     Line,
     Point,
     Polyline,
-    contains,
+    _require_inside,
     polyline_length,
+    s_bound,
 )
 from .projections import chord_term, projection_length_samples, width_samples
 
@@ -49,6 +49,7 @@ _BAND_FACTOR = 16.0  # safety margin over the 3-term dot product rounding bound
 _ROTATION_PERTURBATION = 1e-7  # radians, paired with the 1e-7 * bbox shift
 _FAN_DIRECTIONS = 360
 _SCREEN_CHUNK = 8192
+_WITNESS_GRID = 4096  # angles in projection_witness's coarse search
 
 
 @dataclass(frozen=True)
@@ -392,28 +393,20 @@ def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityRe
 # ---------------------------------------------------------------------------
 
 
-def _require_inside(poly: Polyline, body: ConvexPolygon) -> None:
-    for v in poly.vertices:
-        if contains(body, v) == EXTERIOR:
-            raise PreconditionError("polyline is not contained in the body")
-
-
-def projection_witness(
-    poly: Polyline, r: int, body: ConvexPolygon, grid: int = 4096
-) -> float | None:
+def projection_witness(poly: Polyline, r: int, body: ConvexPolygon) -> float | None:
     """Angle at which the polyline's projected length pigeonholes a depth of
     r + 1 over the body's projection.
 
     For even r the target margin is l(a) - r·k(a); for odd r the endpoint
     chord strengthens it to l(a) - (r-1)·k(a) - l0·|cos(a - a0)|.  Searches a
-    dense angle grid and refines around the best grid point by golden
+    grid of 4096 angles and refines around the best grid point by golden
     section; returns None when no strictly positive margin is found.
     """
     if r < 2:
         raise PreconditionError("the multiplicity budget r must be at least 2")
     _require_inside(poly, body)
 
-    alphas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    alphas = np.linspace(0.0, 2.0 * math.pi, _WITNESS_GRID, endpoint=False)
     l_vals = projection_length_samples(poly, alphas)
     k_vals = width_samples(body, alphas)
     if r % 2 == 0:
@@ -426,7 +419,7 @@ def projection_witness(
         margins = l_vals - (r - 1) * k_vals - l0 * np.abs(np.cos(alphas - a0))
 
     best = int(np.argmax(margins))
-    h = 2.0 * math.pi / grid
+    h = 2.0 * math.pi / _WITNESS_GRID
 
     def margin(alpha: float) -> float:
         l = projection_length_samples(poly, np.array([alpha]))[0]
@@ -508,8 +501,6 @@ def find_stabbing_line(
     being returned; if no sweep cell verifies, the candidate enumeration is
     the fallback.
     """
-    from .verifier import s_bound  # deferred: verifier builds on this module
-
     threshold = s_bound(body, r)
     if not polyline_length(poly) > threshold:
         raise PreconditionError(

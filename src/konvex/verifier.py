@@ -14,21 +14,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSimpleError, PreconditionError
+from .builder import ConstructionParams, build_curve
+from .errors import ConstructionError, NotSimpleError, PreconditionError
 from .geometry import (
     COLLINEAR,
-    EXTERIOR,
     LEFT,
     RIGHT,
     ConvexPolygon,
     Point,
     Polyline,
-    contains,
+    _require_inside,
     diameter,
     orientation,
     perimeter,
     polyline_length,
+    s_bound,
 )
+from .random_shapes import random_star_ring, random_walk_polyline
 from .stabbing import (
     MultiplicityReport,
     find_stabbing_line,
@@ -38,17 +40,6 @@ from .stabbing import (
 SIDE_UPPER = "upper_checked"
 SIDE_LOWER = "lower_realized"
 SIDE_FALSIFICATION = "falsification"
-
-
-def s_bound(body: ConvexPolygon, r: int) -> float:
-    """Threshold length: r*p/2 for even r, (r-1)*p/2 + d for odd r."""
-    if r < 2:
-        raise PreconditionError("the multiplicity budget r must be at least 2")
-    p = perimeter(body)
-    if r % 2 == 0:
-        return r * p / 2.0
-    d, _, _ = diameter(body)
-    return (r - 1) * p / 2.0 + d
 
 
 @dataclass(frozen=True)
@@ -80,9 +71,7 @@ def _report_base(body: ConvexPolygon, r: int, side: str, evidence: dict) -> Boun
 def check_upper_bound(poly: Polyline, body: ConvexPolygon, r: int) -> BoundReport:
     """If the polyline is longer than s(K, r), produce a verified line meeting
     it r + 1 times; otherwise report that it is within the bound."""
-    for v in poly.vertices:
-        if contains(body, v) == EXTERIOR:
-            raise PreconditionError("polyline is not contained in the body")
+    _require_inside(poly, body)
     length = polyline_length(poly)
     threshold = s_bound(body, r)
     if length > threshold:
@@ -129,13 +118,9 @@ def falsify(body: ConvexPolygon, r: int, trials: int, seed: int = 0) -> BoundRep
                 curve = _walk_curve(rng, body)
             elif pick == 2:
                 kind = "star"
-                from .random_shapes import random_star_ring
-
                 curve = random_star_ring(rng, body, n_vertices=int(rng.integers(6, 13)))
             else:
                 kind = "smooth_loop"
-                from .random_shapes import random_star_ring
-
                 curve = random_star_ring(
                     rng, body, n_vertices=int(rng.integers(6, 13)), spiky=False
                 )
@@ -163,16 +148,11 @@ def falsify(body: ConvexPolygon, r: int, trials: int, seed: int = 0) -> BoundRep
 
 
 def _walk_curve(rng: np.random.Generator, body: ConvexPolygon) -> Polyline:
-    from .random_shapes import random_walk_polyline
-
     n = int(rng.integers(3, 11))
     return random_walk_polyline(rng, body, n_segments=n)
 
 
 def _builder_curve(body: ConvexPolygon, r: int, seed: int):
-    from .builder import ConstructionParams, build_curve
-    from .errors import ConstructionError
-
     try:
         params = ConstructionParams(
             r=r, eps=0.05 * s_bound(body, r), m=96, seed=seed, max_retries=4

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,12 +6,11 @@ import pytest
 from konvex.builder import (
     ConstructionParams,
     build_curve,
-    build_even_curve,
-    build_odd_curve,
     diameter_chord_arc,
     inset_loop,
 )
-from konvex.errors import DegeneracyError, PreconditionError
+from konvex.errors import ConstructionError, DegeneracyError, PreconditionError
+from konvex.formats import serialize_polyline, to_json
 from konvex.geometry import (
     EXTERIOR,
     INTERIOR,
@@ -27,6 +27,7 @@ from konvex.stabbing import line_multiplicity, random_line_oracle
 from konvex.verifier import s_bound
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
+TRIANGLE = ConvexPolygon((Point(0, 0), Point(3, 0), Point(1, 2)))
 
 
 def assert_strictly_convex_ring(poly):
@@ -98,50 +99,42 @@ class TestDiameterChordArc:
 
 class TestBuildEven:
     def test_r2(self):
-        result = build_even_curve(SQUARE, ConstructionParams(r=2, eps=0.2, m=96, seed=7))
+        result = build_curve(SQUARE, ConstructionParams(r=2, eps=0.2, m=96, seed=7))
         assert result.achieved_length >= 4 - 0.2
         assert result.multiplicity.count <= 2
         assert not result.curve.closed
 
     def test_r4(self):
-        result = build_even_curve(SQUARE, ConstructionParams(r=4, eps=0.4, m=96, seed=7))
+        result = build_curve(SQUARE, ConstructionParams(r=4, eps=0.4, m=96, seed=7))
         assert result.achieved_length >= 8 - 0.4
         assert result.multiplicity.count <= 4
 
     def test_huge_eps_is_trivially_satisfiable(self):
-        result = build_even_curve(SQUARE, ConstructionParams(r=2, eps=4.5, m=32, seed=7))
+        result = build_curve(SQUARE, ConstructionParams(r=2, eps=4.5, m=32, seed=7))
         assert result.multiplicity.count <= 2
         assert result.achieved_length >= s_bound(SQUARE, 2) - 4.5
 
-    def test_rejects_odd_r(self):
-        with pytest.raises(PreconditionError):
-            build_even_curve(SQUARE, ConstructionParams(r=3, eps=0.3, seed=1))
-
     def test_result_is_replayable(self):
-        result = build_even_curve(SQUARE, ConstructionParams(r=2, eps=0.2, m=96, seed=9))
+        result = build_curve(SQUARE, ConstructionParams(r=2, eps=0.2, m=96, seed=9))
         rep = result.multiplicity
         assert line_multiplicity(rep.witness, result.curve).count == rep.count
 
     def test_all_vertices_inside_body(self):
-        result = build_even_curve(SQUARE, ConstructionParams(r=4, eps=0.4, m=96, seed=2))
+        result = build_curve(SQUARE, ConstructionParams(r=4, eps=0.4, m=96, seed=2))
         for v in result.curve.vertices:
             assert contains(SQUARE, v) != EXTERIOR
 
 
 class TestBuildOdd:
     def test_r3(self):
-        result = build_odd_curve(SQUARE, ConstructionParams(r=3, eps=0.3, m=96, seed=7))
+        result = build_curve(SQUARE, ConstructionParams(r=3, eps=0.3, m=96, seed=7))
         assert result.achieved_length >= 4 + math.sqrt(2) - 0.3
         assert result.multiplicity.count <= 3
 
     def test_r5(self):
-        result = build_odd_curve(SQUARE, ConstructionParams(r=5, eps=0.5, m=128, seed=7))
+        result = build_curve(SQUARE, ConstructionParams(r=5, eps=0.5, m=128, seed=7))
         assert result.achieved_length >= 8 + math.sqrt(2) - 0.5
         assert result.multiplicity.count <= 5
-
-    def test_rejects_even_r(self):
-        with pytest.raises(PreconditionError):
-            build_odd_curve(SQUARE, ConstructionParams(r=4, eps=0.4, seed=1))
 
     def test_rejects_r1(self):
         with pytest.raises(PreconditionError):
@@ -152,7 +145,7 @@ class TestConvergence:
     def test_tighter_eps_gives_longer_curves(self):
         achieved = []
         for eps, m in ((0.4, 64), (0.2, 128), (0.1, 256)):
-            result = build_even_curve(
+            result = build_curve(
                 SQUARE, ConstructionParams(r=2, eps=eps, m=m, seed=11)
             )
             assert result.achieved_length >= 4 - eps
@@ -184,7 +177,39 @@ class TestGeneralBodies:
 
 class TestOddCaseDiameterCapture:
     def test_r3_curve_reaches_near_diameter(self):
-        result = build_odd_curve(SQUARE, ConstructionParams(r=3, eps=0.3, m=128, seed=1))
+        result = build_curve(SQUARE, ConstructionParams(r=3, eps=0.3, m=128, seed=1))
         d, _, _ = diameter(SQUARE)
         # the bowed arc spans close to the body diameter
         assert result.achieved_length >= 4 + d - 0.3
+
+
+class TestPinnedOutput:
+    """sha256 of serialize_polyline(curve) + to_json(result) at eps = 0.05 s,
+    m = 96, seed 7; any change to the construction's arithmetic or its
+    random stream shows here."""
+
+    @pytest.mark.parametrize(
+        "body, r, digest",
+        [
+            (SQUARE, 2, "ff55e2ff6e51a9973b177b32446f2d5245881d45f9c1dd01840990c25e015e7d"),
+            (SQUARE, 3, "b8db80370763e9d51351c17f5cead76085ac0d5ef5f0917703a8257a947b945c"),
+            (SQUARE, 4, "4bfa7dd1951946265cb301c651d2bd985701841e91a2e9d11b9d509f3e7a57f3"),
+            (SQUARE, 5, "e5b572a9957a5902343289aebe893ba6df1515a2ed009305a6a4bba5964ec44f"),
+            (TRIANGLE, 3, "3c18d8e4cc44a2e577bd805ae80ad743dab888b101ccea32abba799a2560d911"),
+        ],
+        ids=["square-r2", "square-r3", "square-r4", "square-r5", "triangle-r3"],
+    )
+    def test_digest(self, body, r, digest):
+        params = ConstructionParams(r=r, eps=0.05 * s_bound(body, r), m=96, seed=7)
+        result = build_curve(body, params)
+        text = serialize_polyline(result.curve) + to_json(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestConstructionFailure:
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_too_few_samples_exhaust_the_retries(self, r):
+        # 20 samples per loop never reach the length budget on the square
+        params = ConstructionParams(r=r, eps=0.05 * s_bound(SQUARE, r), m=20, max_retries=2)
+        with pytest.raises(ConstructionError, match="after 2 retries"):
+            build_curve(SQUARE, params)

@@ -183,3 +183,14 @@ class TestCli:
         assert main(["falsify", square_file, "2", "--trials", "5", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["evidence"]["seed"] == 123
+
+    def test_non_integer_env_seed_exit_1(self, square_file, monkeypatch, capsys):
+        monkeypatch.setenv("KONVEX_SEED", "abc")
+        assert main(["falsify", square_file, "2", "--trials", "5"]) == 1
+        assert capsys.readouterr().err.startswith("error: KONVEX_SEED")
+        # commands without a seed never read the variable
+        assert main(["bound", square_file, "2"]) == 0
+        assert capsys.readouterr().out.startswith("s = 4.0")
+        # an explicit --seed wins over the variable
+        assert main(["falsify", square_file, "2", "--trials", "5", "--seed", "4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["evidence"]["seed"] == 4
