@@ -12,9 +12,10 @@ line meeting the bow twice is nearly parallel to the chord and therefore
 passes through the innermost loop's opening, trading one loop crossing
 for the two arc crossings: 2n + 1 = r total.
 
-None of this is trusted: every result is re-verified by the candidate
-enumeration before being returned, and construction parameters are
-re-tuned and re-jittered on failure up to max_retries.
+None of this is trusted: every result is re-verified by the exact
+maximum over all lines (`max_line_multiplicity`, a rotational sweep)
+before being returned, and construction parameters are re-tuned and
+re-jittered on failure up to max_retries.
 """
 
 from __future__ import annotations
@@ -479,6 +480,7 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
     default_inset = params.inset if params.inset is not None else _default_inset(body, params)
     inset_min = max(default_inset / 32.0, _INSET_FLOOR)
     failing_report: MultiplicityReport | None = None
+    longest = 0.0
     for retry in range(params.max_retries):
         rng = np.random.default_rng([params.seed, 10_000 * odd + retry])
         inset, gap, m_params = default_inset, params.gap, params
@@ -495,6 +497,7 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
                 continue
             curve = Polyline(tuple(_assemble(opens) + tail))
             length = polyline_length(curve)
+            longest = max(longest, length)
             if length >= target - 0.9 * params.eps:
                 if all(contains(body, v) != EXTERIOR for v in curve.vertices):
                     report = max_line_multiplicity(curve)
@@ -510,6 +513,7 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
             else:
                 m_params = replace(m_params, m=min(2 * m_params.m, 4096))
                 inset, gap = default_inset / 8.0, params.gap / 2.0
-    raise ConstructionError(
-        f"construction failed after {params.max_retries} retries", failing_report
-    )
+    message = f"construction failed after {params.max_retries} retries"
+    if failing_report is None:  # no attempt was long enough to verify
+        message += f"; longest curve {longest:.6g} < {target - 0.9 * params.eps:.6g}"
+    raise ConstructionError(message, failing_report)

@@ -7,14 +7,30 @@ collinear run counts once, a transversal crossing counts once, and a vertex
 touch counts once.  For curves that meet lines in finitely many points the
 two conventions agree.
 
+`max_line_multiplicity` is exact over all lines.  A line through no vertex
+can be translated until it first meets a vertex, the pivot, without
+changing the edges it crosses, so every count is realized through or next
+to some pivot.  The sweep sorts the other vertices around each distinct
+pivot by direction mod π.  Between consecutive directions (an angular
+interval) no vertex changes side, so an edge not incident to the pivot is
+crossed on one contiguous run of intervals, and cumulative sums over the
+sorted run ends give every interval's crossing count at once: O(n² log n)
+over all pivots.  Each interval yields three candidates (the line through
+the pivot, and the two open cells beside it, which also cross the pivot's
+incident edges) and each event direction one more (the line through the
+pivot and its collinear group).  A candidate's score counts the strict
+crossings and zero runs of its sign vector, the `_count_from_signs`
+formula: an upper bound on its component count, tight unless intersection
+points coincide.
+
 Exactness contract: every reported count is produced by `line_multiplicity`,
-which decides all incidences with exact rational arithmetic.  The candidate
-search and the random oracle use a vectorized double-precision screen with a
-conservative error band; any vertex whose side is not certified by the band
-is re-decided exactly before a candidate's screened count is trusted, and the
-screened count can only overestimate (coincident intersection points merge
-components).  The best candidates are then re-verified exactly, so screening
-never changes a reported number.
+which decides all incidences with exact rational arithmetic.  The sweep
+orders directions by float angle and re-decides every pair of angles that
+its rounding-error band cannot separate with an exact cross product, so its
+intervals and scores are exact.  The random oracle screens float lines
+against a similar band and re-decides banded vertices exactly.  Both replay
+candidates exactly in descending score order until no remaining score can
+beat the best exact count, so screening never changes a reported number.
 """
 
 from __future__ import annotations
@@ -22,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from functools import cmp_to_key
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,6 +50,7 @@ from .geometry import (
     Point,
     Polyline,
     _require_inside,
+    orientation,
     polyline_length,
     s_bound,
 )
@@ -40,16 +58,26 @@ from .projections import chord_term, projection_length_samples, width_samples
 
 # report provenance tags
 METHOD_DIRECT = "direct"
-METHOD_ENUMERATION = "enumeration"
 METHOD_ORACLE = "oracle"
+METHOD_SWEEP = "rotational_sweep"
 METHOD_WITNESS_SWEEP = "witness_sweep"
 
 _EPS = float(np.finfo(np.float64).eps)
-_BAND_FACTOR = 16.0  # safety margin over the 3-term dot product rounding bound
-_ROTATION_PERTURBATION = 1e-7  # radians, paired with the 1e-7 * bbox shift
-_FAN_DIRECTIONS = 360
+_BAND_FACTOR = 16.0  # safety margin over the rounding bounds of both float filters
+# Coordinates are refused beyond 2^500 in absolute value: products of two
+# coordinate differences (below 2^1002) then stay finite in double precision.
+_COORD_LIMIT = 2.0**500
+_TINY = 1e-290  # absolute floor of the angle band: covers subnormal rounding
+_SWEEP_ENTRIES = 1 << 18  # pivot-by-vertex entries per sweep chunk
+_GENERIC_TRIES = 8  # open-cell witness shifts tried before giving up
 _SCREEN_CHUNK = 8192
 _WITNESS_GRID = 4096  # angles in projection_witness's coarse search
+
+# sweep candidates for a pivot and its angular interval (or event) k
+_EVENT = 0  # the line through the pivot and the vertices of event k
+_LEFT = 1  # interval k, shifted so the pivot lies on the line's left (+) side
+_RIGHT = 2  # interval k, shifted so the pivot lies on the line's right (-) side
+_THROUGH = 3  # interval k, through the pivot and no other vertex
 
 
 @dataclass(frozen=True)
@@ -89,8 +117,8 @@ def line_multiplicity(line: Line, poly: Polyline, method: str = METHOD_DIRECT) -
     pieces that touch or overlap there are merged into one component.
     """
     verts = poly.vertices
-    sides = [line.side_of(v) for v in verts]
     values = [line.value_at(v) for v in verts]
+    sides = [(value > 0) - (value < 0) for value in values]
 
     pieces: list[tuple[Fraction, Fraction, Point, Point, int]] = []
     for seg_idx, ia, ib in _segment_endpoints(poly):
@@ -152,47 +180,301 @@ def proper_crossings(line: Line, poly: Polyline) -> int:
 
 
 # ---------------------------------------------------------------------------
-# screened candidate evaluation
+# exact maximum: rotational sweep
 # ---------------------------------------------------------------------------
 
-_KIND_PAIR = 0
-_KIND_COEFS = 1  # canonical line is the exact rational lift of the stored floats
-_KIND_FAN = 2  # canonical line passes exactly through vertex ia with float normal
+
+def _float_points(poly: Polyline) -> np.ndarray:
+    """Float view of the vertices, refused outside ±_COORD_LIMIT."""
+    try:
+        pts = np.array(poly.float_vertices(), dtype=np.float64)
+    except OverflowError:
+        raise PreconditionError("a vertex coordinate is out of float range") from None
+    if not np.all(np.abs(pts) <= _COORD_LIMIT):
+        raise PreconditionError("vertex coordinates must lie within ±2^500")
+    return pts
+
+
+def _ranks(values: list[Fraction]) -> np.ndarray:
+    """Dense rank of every exact value, so integer comparisons decide rational ones."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = np.empty(len(values), dtype=np.int64)
+    rank = 0
+    for prev, i in zip([None] + order, order):
+        if prev is not None and values[i] != values[prev]:
+            rank += 1
+        ranks[i] = rank
+    return ranks
+
+
+def _cross(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _tally(rows: int, width: int, *terms) -> np.ndarray:
+    """Row-wise histogram: each (index, weight, mask) term adds `weight` at
+    `index` of its row for every masked entry."""
+    base = np.arange(rows)[:, None] * width
+    flat, weights = [], []
+    for index, weight, mask in terms:
+        idx = np.broadcast_to(base + index, mask.shape)[mask]
+        flat.append(idx)
+        weights.append(np.full(idx.size, weight, dtype=np.float64))
+    hist = np.bincount(np.concatenate(flat), np.concatenate(weights), rows * width)
+    return hist.reshape(rows, width).astype(np.int64)
+
+
+def _accidental(report: MultiplicityReport, poly: Polyline) -> bool:
+    """Whether a component merges crossings of edges on different lines.
+
+    On a line through no vertex that is a coincidence of this line alone
+    (it passes through a self-intersection point), which a nearby parallel
+    line avoids; collinear overlapping edges merge on every nearby line.
+    """
+    verts = poly.vertices
+    n = len(verts)
+    for comp in report.components:
+        first = comp.segments[0]
+        a, b = verts[first], verts[(first + 1) % n]
+        for seg in comp.segments[1:]:
+            if orientation(a, b, verts[seg]) or orientation(a, b, verts[(seg + 1) % n]):
+                return True
+    return False
+
+
+class _Sweep:
+    """Rotational sweep about every distinct vertex, in chunks of pivots.
+
+    For a pivot, each other vertex gets its exact direction class: `lower`
+    (v - pivot points into the lower half plane, so it is negated into
+    [0, π)) and the rank g of its direction among the pivot's distinct
+    directions.  For a line through the pivot with direction inside
+    interval k (between directions k and k + 1; the last interval ends at
+    π), v lies on the left iff (g > k) xor lower.  Hence an edge (a, b) not
+    incident to the pivot is crossed on the intervals [min g, max g) when
+    lower(a) == lower(b) and on the complement otherwise.
+    """
+
+    def __init__(self, poly: Polyline):
+        verts = poly.vertices
+        self.poly = poly
+        self.pts = _float_points(poly)
+        self.mag = np.abs(self.pts).max(axis=1)
+        self.rank_x = _ranks([v.x for v in verts])
+        self.rank_y = _ranks([v.y for v in verts])
+        point = self.rank_x * (int(self.rank_y.max()) + 1) + self.rank_y
+        first, self.pid = np.unique(point, return_index=True, return_inverse=True)[1:]
+        self.pivots = np.sort(first)  # a polyline always has 2 distinct vertices
+        n = len(verts)
+        self.ea = np.arange(n if poly.closed else n - 1)
+        self.eb = (self.ea + 1) % n
+
+    def _direction(self, pivot: int, v: int) -> tuple[Fraction, Fraction]:
+        """Exact v - pivot, negated into the upper half plane (angle in [0, π))."""
+        p, q = self.poly.vertices[pivot], self.poly.vertices[v]
+        dx, dy = q.x - p.x, q.y - p.y
+        return (-dx, -dy) if dy < 0 or (dy == 0 and dx < 0) else (dx, dy)
+
+    def _resolve(self, pivot: int, order: np.ndarray, joined: np.ndarray, tie: np.ndarray):
+        """Sort each cluster of angles the band cannot separate by exact cross
+        products (in place), marking members parallel to their predecessor."""
+        js = np.nonzero(joined)[0]
+        breaks = np.diff(js) > 1
+        starts = js[np.r_[True, breaks]] - 1
+        stops = js[np.r_[breaks, True]] + 1
+        by_angle = cmp_to_key(lambda s, t: _cross(t[0], s[0]))
+        for a, b in zip(starts, stops):
+            members = sorted(
+                ((self._direction(pivot, int(v)), int(v)) for v in order[a:b]), key=by_angle
+            )
+            order[a:b] = [v for _, v in members]
+            for i in range(1, len(members)):
+                tie[a + i] = _cross(members[i - 1][0], members[i][0]) == 0
+
+    def _chunk(self, piv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of every candidate of the pivots `piv` (rows × n × kind, -1
+        past a pivot's last interval) and the first vertex of every direction
+        class (rows × (n + 1), -1 past the last)."""
+        pts, n, rows = self.pts, len(self.pts), len(piv)
+        same = self.pid[None, :] == self.pid[piv][:, None]
+        ry, py = self.rank_y[None, :], self.rank_y[piv][:, None]
+        lower = (ry < py) | ((ry == py) & (self.rank_x[None, :] < self.rank_x[piv][:, None]))
+
+        # Float angles in [0, π].  Rounding is monotone, so the float y
+        # difference has the exact sign and abs() negates exactly the lower
+        # ones.  The band bounds the angle error caused by converting and
+        # subtracting the coordinates (relative to the vector's length) plus
+        # arctan2's own rounding; it is infinite for vectors that vanish in
+        # floats, whose angles are then decided exactly against all others.
+        dx = pts[None, :, 0] - pts[piv, 0][:, None]
+        dx = np.where(lower, -dx, dx)
+        dy = np.abs(pts[None, :, 1] - pts[piv, 1][:, None])
+        psi = np.arctan2(dy, dx)
+        scale = np.maximum(np.abs(dx), dy) + self.mag[None, :] + self.mag[piv][:, None] + _TINY
+        with np.errstate(divide="ignore"):
+            band = _BAND_FACTOR * _EPS * (scale / np.hypot(dx, dy) + 1.0)
+        # clusters: runs of overlapping [psi - band, psi + band] intervals
+        lo = np.where(same, np.inf, psi - band)
+        order = np.argsort(lo, axis=1, kind="stable")
+        valid = ~np.take_along_axis(same, order, axis=1)
+        reach = np.maximum.accumulate(np.take_along_axis(psi + band, order, axis=1), axis=1)
+        joined = np.zeros_like(valid)
+        joined[:, 1:] = valid[:, 1:] & (np.take_along_axis(lo, order, axis=1)[:, 1:] <= reach[:, :-1])
+        tie = np.zeros_like(valid)
+        for row in np.unique(np.nonzero(joined)[0]):
+            self._resolve(int(piv[row]), order[row], joined[row], tie[row])
+
+        first = valid & ~tie
+        rank = np.cumsum(first, axis=1) - 1
+        classes = first.sum(axis=1)[:, None]
+        g = np.empty_like(order)
+        np.put_along_axis(g, order, rank, axis=1)
+        rep = np.full((rows, n + 1), -1)
+        rr, cc = np.nonzero(first)
+        rep[rr, rank[rr, cc]] = order[rr, cc]
+
+        ea, eb = self.ea, self.eb
+        at_a, at_b = same[:, ea], same[:, eb]
+        free = ~(at_a | at_b)
+        incident = ~free
+        g_lo, g_hi = np.minimum(g[:, ea], g[:, eb]), np.maximum(g[:, ea], g[:, eb])
+        flip = lower[:, ea] != lower[:, eb]
+        other = np.where(at_a, eb, ea)
+        g_o = np.take_along_axis(g, other, axis=1)
+        low_o = np.take_along_axis(lower, other, axis=1)
+        run, wrap = free & ~flip, free & flip
+        straddles = np.cumsum(
+            _tally(rows, n + 1,
+                   (g_lo, 1, run), (g_hi, -1, run),
+                   (0, 1, wrap), (g_lo, -1, wrap), (g_hi, 1, wrap), (classes, -1, wrap)),
+            axis=1,
+        )[:, :n]
+        # incident edges whose other end lies on the left
+        left_ends = np.cumsum(
+            _tally(rows, n + 1,
+                   (0, 1, incident & ~low_o), (g_o, -1, incident & ~low_o),
+                   (g_o, 1, incident & low_o), (classes, -1, incident & low_o)),
+            axis=1,
+        )[:, :n]
+        degree = incident.sum(axis=1)[:, None]
+        occurrences = same.sum(axis=1)[:, None]
+        # event k: its class and the pivot are zeros; edges counted in
+        # `straddles` with an end in class k stop being strict crossings, and
+        # each edge with both ends on the line joins two zeros into one run
+        along = free & (g_lo == g_hi)
+        event_fix = _tally(rows, n,
+                           (g_lo, -1, run & (g_lo < g_hi)), (g_hi, -1, wrap & (g_lo < g_hi)),
+                           (g_lo, -1, along), (g_lo, -1, along & flip), (g_o, -1, incident))
+        class_size = _tally(rows, n, (g, 1, ~same))
+
+        scores = np.stack(
+            [
+                np.maximum(straddles + event_fix + occurrences + class_size, 1),
+                straddles + degree - left_ends,
+                straddles + left_ends,
+                straddles + occurrences,
+            ],
+            axis=2,
+        )
+        scores[np.arange(n)[None, :] >= classes] = -1
+        return scores, rep
+
+    def scored_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(pivots, scores, first vertex of every direction class) per chunk."""
+        step = max(1, _SWEEP_ENTRIES // len(self.pts))
+        for start in range(0, len(self.pivots), step):
+            piv = self.pivots[start : start + step]
+            yield (piv, *self._chunk(piv))
+
+    def replay(
+        self, piv: np.ndarray, scores: np.ndarray, rep: np.ndarray, flat: int
+    ) -> MultiplicityReport:
+        """Exact report of a rational witness line of the candidate at index
+        `flat` of a chunk's scores."""
+        row, k, kind = np.unravel_index(flat, scores.shape)
+        score, pivot, a, b = int(scores[row, k, kind]), int(piv[row]), rep[row, k], rep[row, k + 1]
+        verts = self.poly.vertices
+        p = verts[pivot]
+        if kind == _EVENT:
+            return line_multiplicity(Line.from_points(p, verts[a]), self.poly, METHOD_SWEEP)
+        # a direction strictly inside the interval: a positive combination of its ends
+        ax, ay = self._direction(pivot, a)
+        if b >= 0:
+            bx, by = self._direction(pivot, b)
+            wx, wy = ax + bx, ay + by
+        elif ay > 0:
+            wx, wy = ax - abs(ax) - ay, ay
+        else:  # the only direction is horizontal; the interval is (0, π)
+            wx, wy = Fraction(0), Fraction(1)
+        nx, ny = -wy, wx  # n·(v - p) = cross(w, v - p): positive on the left
+        c = nx * p.x + ny * p.y
+        if kind == _THROUGH:
+            return line_multiplicity(Line(nx, ny, c), self.poly, METHOD_SWEEP)
+        gap = min(abs(nx * v.x + ny * v.y - c) for v in (verts[i] for i in self.pivots) if v != p)
+        side = 1 if kind == _LEFT else -1
+        for tries in range(1, _GENERIC_TRIES + 1):
+            line = Line(nx, ny, c - side * gap / 2**tries)
+            report = line_multiplicity(line, self.poly, METHOD_SWEEP)
+            if report.count == score or not _accidental(report, self.poly):
+                return report
+        raise VerificationError("no witness line avoids the curve's self-intersections")
+
+
+def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
+    """Maximum multiplicity over all lines, by the rotational sweep.
+
+    Chunk by chunk, candidates are replayed in descending score order until
+    the best exact count reaches the next score; a score bounds its
+    candidate's exact count, so every candidate left out is covered.
+    Coordinates must lie within ±2^500.
+    """
+    sweep = _Sweep(poly)
+    best: MultiplicityReport | None = None
+    for piv, scores, rep in sweep.scored_chunks():
+        level = int(scores.max())
+        while best is None or level > best.count:
+            for flat in np.flatnonzero(scores == level):
+                report = sweep.replay(piv, scores, rep, int(flat))
+                if best is None or report.count > best.count:
+                    best = report
+                if best.count >= level:
+                    break
+            level -= 1
+    assert best is not None
+    return best
+
+
+# ---------------------------------------------------------------------------
+# independent check: screened random lines
+# ---------------------------------------------------------------------------
 
 
 class _Screen:
-    """Vectorized component counting for batches of candidate lines.
+    """Vectorized component counting for batches of float lines, one
+    (nx, ny, c) row per line; a line's exact version is the rational lift of
+    its floats.
 
     Counts derived here are exact for every vertex side the error band
     certifies; banded vertices are re-decided with rational arithmetic
-    against the candidate's canonical line.  The resulting count can exceed
-    the true component count only through coincident intersection points,
-    so it is a sound upper bound used to rank and prune candidates.
+    against the exact line.  The resulting count can exceed the true
+    component count only through coincident intersection points, so it is
+    a sound upper bound used to rank and prune lines.
     """
 
     def __init__(self, poly: Polyline):
         self.poly = poly
-        self.pts = np.asarray(poly.float_vertices())
+        self.pts = _float_points(poly)
         self.closed = poly.closed
         self.max_x = float(np.max(np.abs(self.pts[:, 0])))
         self.max_y = float(np.max(np.abs(self.pts[:, 1])))
 
-    def canonical_line(self, kind: int, ia: int, ib: int, coefs: np.ndarray) -> Line:
-        verts = self.poly.vertices
-        if kind == _KIND_PAIR:
-            return Line.from_points(verts[ia], verts[ib])
-        if kind == _KIND_FAN:
-            nx = Fraction(float(coefs[0]))
-            ny = Fraction(float(coefs[1]))
-            v = verts[ia]
-            return Line(nx, ny, nx * v.x + ny * v.y)
+    @staticmethod
+    def canonical_line(coefs: np.ndarray) -> Line:
         return Line(
             Fraction(float(coefs[0])), Fraction(float(coefs[1])), Fraction(float(coefs[2]))
         )
 
-    def counts(
-        self, coefs: np.ndarray, kinds: np.ndarray, ia: np.ndarray, ib: np.ndarray
-    ) -> np.ndarray:
+    def counts(self, coefs: np.ndarray) -> np.ndarray:
         vals = coefs[:, :2] @ self.pts.T - coefs[:, 2:3]
         band = _BAND_FACTOR * _EPS * (
             np.abs(coefs[:, 0]) * self.max_x
@@ -202,24 +484,10 @@ class _Screen:
         band = band[:, None]
         signs = (vals > band).astype(np.int8) - (vals < -band).astype(np.int8)
         uncertain = np.abs(vals) <= band
-
-        rows = np.arange(len(coefs))
-        pair_rows = kinds == _KIND_PAIR
-        fan_rows = kinds == _KIND_FAN
-        if pair_rows.any():
-            signs[rows[pair_rows], ia[pair_rows]] = 0
-            signs[rows[pair_rows], ib[pair_rows]] = 0
-            uncertain[rows[pair_rows], ia[pair_rows]] = False
-            uncertain[rows[pair_rows], ib[pair_rows]] = False
-        if fan_rows.any():
-            signs[rows[fan_rows], ia[fan_rows]] = 0
-            uncertain[rows[fan_rows], ia[fan_rows]] = False
-
         for row in np.nonzero(uncertain.any(axis=1))[0]:
-            line = self.canonical_line(int(kinds[row]), int(ia[row]), int(ib[row]), coefs[row])
+            line = self.canonical_line(coefs[row])
             for col in np.nonzero(uncertain[row])[0]:
                 signs[row, col] = line.side_of(self.poly.vertices[int(col)])
-
         return self._count_from_signs(signs)
 
     def _count_from_signs(self, signs: np.ndarray) -> np.ndarray:
@@ -240,152 +508,51 @@ class _Screen:
         return (crossings + runs).astype(np.int64)
 
 
-def _candidate_batches(
-    poly: Polyline,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Candidate family: vertex-pair lines, their translated/rotated copies,
-    and per-vertex direction fans.  Yields (coefs, kinds, ia, ib) blocks."""
-    pts = np.asarray(poly.float_vertices())
-    n = len(pts)
-    span = math.dist(pts.min(axis=0), pts.max(axis=0))
-    delta = 1e-7 * (span if span > 0 else 1.0)
-
-    ii, jj = np.triu_indices(n, k=1)
-    # vertices may repeat non-consecutively; drop pairs that span no direction
-    alive = np.any(pts[jj] != pts[ii], axis=1)
-    ii, jj = ii[alive], jj[alive]
-    for start in range(0, len(ii), _SCREEN_CHUNK):
-        i = ii[start : start + _SCREEN_CHUNK]
-        j = jj[start : start + _SCREEN_CHUNK]
-        d = pts[j] - pts[i]
-        nx, ny = -d[:, 1], d[:, 0]
-        c = nx * pts[i, 0] + ny * pts[i, 1]
-        base = np.column_stack([nx, ny, c])
-        yield base, np.full(len(i), _KIND_PAIR, np.int8), i.astype(np.int32), j.astype(np.int32)
-
-        norm = np.hypot(nx, ny)
-        mid = (pts[i] + pts[j]) / 2.0
-        blocks = []
-        for rot_sign in (0.0, 1.0, -1.0):
-            if rot_sign == 0.0:
-                rx, ry = nx, ny
-                c0 = c
-            else:
-                ct = math.cos(rot_sign * _ROTATION_PERTURBATION)
-                st = math.sin(rot_sign * _ROTATION_PERTURBATION)
-                rx = ct * nx - st * ny
-                ry = st * nx + ct * ny
-                c0 = rx * mid[:, 0] + ry * mid[:, 1]
-            for t_sign in (0.0, 1.0, -1.0):
-                if rot_sign == 0.0 and t_sign == 0.0:
-                    continue
-                blocks.append(np.column_stack([rx, ry, c0 + t_sign * delta * norm]))
-        pert = np.concatenate(blocks, axis=0)
-        yield (
-            pert,
-            np.full(len(pert), _KIND_COEFS, np.int8),
-            np.zeros(len(pert), np.int32),
-            np.zeros(len(pert), np.int32),
-        )
-
-    thetas = np.arange(_FAN_DIRECTIONS) * (math.pi / _FAN_DIRECTIONS)
-    cs, ss = np.cos(thetas), np.sin(thetas)
-    for start in range(0, n, max(1, _SCREEN_CHUNK // _FAN_DIRECTIONS)):
-        stop = min(n, start + max(1, _SCREEN_CHUNK // _FAN_DIRECTIONS))
-        vx = pts[start:stop, 0]
-        vy = pts[start:stop, 1]
-        nx = np.repeat(cs[None, :], stop - start, axis=0).ravel()
-        ny = np.repeat(ss[None, :], stop - start, axis=0).ravel()
-        c = nx * np.repeat(vx, _FAN_DIRECTIONS) + ny * np.repeat(vy, _FAN_DIRECTIONS)
-        idx = np.repeat(np.arange(start, stop, dtype=np.int32), _FAN_DIRECTIONS)
-        yield (
-            np.column_stack([nx, ny, c]),
-            np.full(len(c), _KIND_FAN, np.int8),
-            idx,
-            idx,
-        )
-
-
 def _best_verified(
-    poly: Polyline,
-    screen: _Screen,
-    batches,
-    method: str,
+    scores: np.ndarray, replay: Callable[[int], MultiplicityReport]
 ) -> MultiplicityReport:
-    """Screen all candidate batches, then verify screened leaders exactly
-    until no remaining screened count can beat the best exact count."""
-    counts_parts, kinds_parts, ia_parts, ib_parts, coef_parts = [], [], [], [], []
-    for coefs, kinds, ia, ib in batches:
-        counts_parts.append(screen.counts(coefs, kinds, ia, ib))
-        kinds_parts.append(kinds)
-        ia_parts.append(ia)
-        ib_parts.append(ib)
-        coef_parts.append(coefs)
-    counts = np.concatenate(counts_parts)
-    kinds = np.concatenate(kinds_parts)
-    ia = np.concatenate(ia_parts)
-    ib = np.concatenate(ib_parts)
-    coefs = np.concatenate(coef_parts)
-
+    """Replay candidates in descending score order until no remaining score,
+    an upper bound on its candidate's exact count, can beat the best one."""
     best: MultiplicityReport | None = None
-    for idx in np.argsort(-counts, kind="stable"):
-        if best is not None and counts[idx] <= best.count:
+    for idx in np.argsort(-scores, kind="stable"):
+        if best is not None and scores[idx] <= best.count:
             break
-        line = screen.canonical_line(int(kinds[idx]), int(ia[idx]), int(ib[idx]), coefs[idx])
-        report = line_multiplicity(line, poly, method)
+        report = replay(int(idx))
         if best is None or report.count > best.count:
             best = report
     assert best is not None
     return best
 
 
-def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
-    """Maximum multiplicity over the candidate family.
-
-    The family is all vertex-pair lines, each also shifted by ±1e-7 of the
-    bounding-box diagonal along its normal and rotated by ±1e-7 radians
-    about the pair midpoint (and the four combinations), plus 360 direction
-    fans through every vertex.  The winning count is always re-established
-    by exact replay before being returned.
-    """
-    if len({(v.x, v.y) for v in poly.vertices}) < 2:
-        raise PreconditionError("need at least 2 distinct vertices")
-    screen = _Screen(poly)
-    return _best_verified(poly, screen, _candidate_batches(poly), METHOD_ENUMERATION)
-
-
 def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityReport:
     """Maximum multiplicity over `trials` random lines; the independent check
-    for the candidate enumeration.
+    for the rotational sweep.
 
     Directions are uniform on the half-circle; offsets are uniform over the
     bounding box's projection extent for the sampled direction.  Deterministic
-    for a fixed seed.
+    for a fixed seed.  Coordinates must lie within ±2^500.
     """
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    pts = np.asarray(poly.float_vertices())
     screen = _Screen(poly)
-
-    def batches():
-        remaining = trials
-        while remaining > 0:
-            k = min(remaining, _SCREEN_CHUNK)
-            remaining -= k
-            theta = rng.uniform(0.0, math.pi, k)
-            nx, ny = np.cos(theta), np.sin(theta)
-            proj = nx[:, None] * pts[None, :, 0] + ny[:, None] * pts[None, :, 1]
-            lo, hi = proj.min(axis=1), proj.max(axis=1)
-            c = rng.uniform(lo, hi)
-            yield (
-                np.column_stack([nx, ny, c]),
-                np.full(k, _KIND_COEFS, np.int8),
-                np.zeros(k, np.int32),
-                np.zeros(k, np.int32),
-            )
-
-    return _best_verified(poly, screen, batches(), METHOD_ORACLE)
+    pts = screen.pts
+    blocks, counts = [], []
+    remaining = trials
+    while remaining > 0:
+        k = min(remaining, _SCREEN_CHUNK)
+        remaining -= k
+        theta = rng.uniform(0.0, math.pi, k)
+        nx, ny = np.cos(theta), np.sin(theta)
+        proj = nx[:, None] * pts[None, :, 0] + ny[:, None] * pts[None, :, 1]
+        c = rng.uniform(proj.min(axis=1), proj.max(axis=1))
+        blocks.append(np.column_stack([nx, ny, c]))
+        counts.append(screen.counts(blocks[-1]))
+    coefs = np.concatenate(blocks)
+    return _best_verified(
+        np.concatenate(counts),
+        lambda i: line_multiplicity(screen.canonical_line(coefs[i]), poly, METHOD_ORACLE),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +665,8 @@ def find_stabbing_line(
     endpoints for a maximal coverage-depth cell (leftmost on ties); the
     returned line runs through the cell midpoint perpendicular to the witness
     direction.  Every candidate is replayed through line_multiplicity before
-    being returned; if no sweep cell verifies, the candidate enumeration is
-    the fallback.
+    being returned; if no sweep cell verifies, the exact maximum
+    (`max_line_multiplicity`) is the fallback.
     """
     threshold = s_bound(body, r)
     if not polyline_length(poly) > threshold:

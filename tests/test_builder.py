@@ -184,26 +184,52 @@ class TestOddCaseDiameterCapture:
 
 
 class TestPinnedOutput:
-    """sha256 of serialize_polyline(curve) + to_json(result) at eps = 0.05 s,
-    m = 96, seed 7; any change to the construction's arithmetic or its
-    random stream shows here."""
+    """sha256 of serialize_polyline(curve) and of to_json(result) at
+    eps = 0.05 s, m = 96, seed 7.  The curve digest shows any change to the
+    construction's arithmetic or its random stream; the sidecar digest also
+    covers the verifier's witness line, method tag and components."""
 
     @pytest.mark.parametrize(
-        "body, r, digest",
+        "body, r, curve_digest, sidecar_digest",
         [
-            (SQUARE, 2, "ff55e2ff6e51a9973b177b32446f2d5245881d45f9c1dd01840990c25e015e7d"),
-            (SQUARE, 3, "b8db80370763e9d51351c17f5cead76085ac0d5ef5f0917703a8257a947b945c"),
-            (SQUARE, 4, "4bfa7dd1951946265cb301c651d2bd985701841e91a2e9d11b9d509f3e7a57f3"),
-            (SQUARE, 5, "e5b572a9957a5902343289aebe893ba6df1515a2ed009305a6a4bba5964ec44f"),
-            (TRIANGLE, 3, "3c18d8e4cc44a2e577bd805ae80ad743dab888b101ccea32abba799a2560d911"),
+            (
+                SQUARE,
+                2,
+                "0f83c062eba7b405ecb041fe3dcb7bc19150af3745ef19fddfce6f27b71e7eee",
+                "3ca43d58b9de129cb300d60152aac8fe5de670483105157b3412a5888934d3f2",
+            ),
+            (
+                SQUARE,
+                3,
+                "012d775ef429a9ab276bdf851534d7e1fa277af653753c12374c6c0766041828",
+                "03eb8227e7bec2a7e8e117dbf68835fc81de01b952c65a44a26997b63478b4d2",
+            ),
+            (
+                SQUARE,
+                4,
+                "59051dd3c5cd70a81c38e7d3ab045aa6d7c488c58dc95551d30ec1e898f3e8d2",
+                "56ca2342c4ace02b75b0a85f5d4b2d7d3fc0eb7c2ca44800ad8745e8dc0f0eae",
+            ),
+            (
+                SQUARE,
+                5,
+                "cd9783dfe57ce09fab4b8d7ad58a2dc1dabfbcbaafbaa4d7362d9d8dc0b11b40",
+                "6445441ec61a529096e836d4bb54fce45d78ec3258d6b22b6aff0a1a6a795056",
+            ),
+            (
+                TRIANGLE,
+                3,
+                "6c01dea01d4ff2851dd3172d69b69b4b77a62a97c8decf7ac083d6eb16221d2b",
+                "2bfd6d833610b6ba0117c254e3463f2270b970746dc458da13530976be473143",
+            ),
         ],
         ids=["square-r2", "square-r3", "square-r4", "square-r5", "triangle-r3"],
     )
-    def test_digest(self, body, r, digest):
+    def test_digest(self, body, r, curve_digest, sidecar_digest):
         params = ConstructionParams(r=r, eps=0.05 * s_bound(body, r), m=96, seed=7)
         result = build_curve(body, params)
-        text = serialize_polyline(result.curve) + to_json(result)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(serialize_polyline(result.curve).encode()).hexdigest() == curve_digest
+        assert hashlib.sha256(to_json(result).encode()).hexdigest() == sidecar_digest
 
 
 class TestConstructionFailure:
@@ -211,5 +237,10 @@ class TestConstructionFailure:
     def test_too_few_samples_exhaust_the_retries(self, r):
         # 20 samples per loop never reach the length budget on the square
         params = ConstructionParams(r=r, eps=0.05 * s_bound(SQUARE, r), m=20, max_retries=2)
-        with pytest.raises(ConstructionError, match="after 2 retries"):
+        needed = s_bound(SQUARE, r) - 0.9 * params.eps
+        with pytest.raises(ConstructionError, match="after 2 retries; longest curve ") as err:
             build_curve(SQUARE, params)
+        assert err.value.report is None
+        longest, target = str(err.value).split("longest curve ")[1].split(" < ")
+        assert 0 < float(longest) < needed
+        assert target == f"{needed:.6g}"

@@ -175,6 +175,18 @@ class TestCli:
         bad.write_text("nonsense\n")
         assert main(["analyze", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ["open\n0 0\n1 1e400\n", "open\n0 0\n1e300 1e300\n0 1\n"],
+        ids=["beyond-float", "beyond-sweep-bound"],
+    )
+    def test_analyze_out_of_range_coordinates_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file_exit_1(self, capsys):
         assert main(["bound", "no-such-file.txt", "2"]) == 1
 

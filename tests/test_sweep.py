@@ -1,0 +1,279 @@
+"""The rotational sweep of max_line_multiplicity against an exact brute
+force over the whole line arrangement, its candidate scores against the
+sign-vector formula, its float filter on near-degenerate and large inputs,
+and its invariance under exact similarity motions."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from konvex import stabbing
+from konvex.errors import PreconditionError
+from konvex.geometry import ConvexPolygon, Line, Point, Polyline, rigid_motion
+from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
+from konvex.stabbing import line_multiplicity, max_line_multiplicity, random_line_oracle
+
+SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def brute_force_max(poly: Polyline) -> int:
+    """Maximum exact multiplicity over every face of the line arrangement.
+
+    Every line through two vertices is tried, and near it lines rotated by
+    a small rational angle about each vertex on it, about a point between
+    each two consecutive ones and about a point beyond either end.  The
+    rotation is too small for any vertex off the line to change side, so
+    these lines visit every cell and edge around the line; every face of
+    the arrangement has such a line on its boundary.
+    """
+    pts = list(dict.fromkeys(poly.vertices))
+    best, seen = 0, set()
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            d = (q.x - p.x, q.y - p.y)
+            on = [v for v in pts if _cross(d, (v.x - p.x, v.y - p.y)) == 0]
+            if frozenset(on) in seen:
+                continue
+            seen.add(frozenset(on))
+            best = max(best, line_multiplicity(Line.from_points(p, q), poly).count)
+            on.sort(key=lambda v: (v.x - p.x) * d[0] + (v.y - p.y) * d[1])
+            t = Fraction(7, 17)  # an off-centre point between neighbours
+            centers = on + [
+                Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)) for a, b in zip(on, on[1:])
+            ]
+            centers += [Point(on[0].x - d[0], on[0].y - d[1]), Point(on[-1].x + d[0], on[-1].y + d[1])]
+            gap = min(
+                (abs(_cross(d, (v.x - p.x, v.y - p.y))) for v in pts if v not in on),
+                default=Fraction(1),
+            )
+            for z in centers:
+                reach = max(abs(d[0] * (v.x - z.x) + d[1] * (v.y - z.y)) for v in pts) + 1
+                eps = gap / (2 * reach)
+                for sign in (1, -1):
+                    wx, wy = d[0] - sign * eps * d[1], d[1] + sign * eps * d[0]
+                    line = Line(-wy, wx, -wy * z.x + wx * z.y)
+                    best = max(best, line_multiplicity(line, poly).count)
+    return best
+
+
+def grid_polyline(rng: np.random.Generator, size: int, n: int, closed: bool) -> Polyline:
+    """Random polyline on a small integer grid: collinear runs, repeated and
+    retraced vertices, and edges through vertices are common."""
+    verts = [tuple(int(c) for c in rng.integers(0, size, 2))]
+    while len(verts) < n:
+        v = tuple(int(c) for c in rng.integers(0, size, 2))
+        if v != verts[-1]:
+            verts.append(v)
+    closed = closed and n >= 3 and verts[0] != verts[-1]
+    return Polyline(tuple(Point(x, y) for x, y in verts), closed)
+
+
+def assert_exact_maximum(poly: Polyline) -> None:
+    report = max_line_multiplicity(poly)
+    assert report.method == "rotational_sweep"
+    assert line_multiplicity(report.witness, poly).count == report.count
+    assert report.count == brute_force_max(poly)
+
+
+def points(*coords) -> tuple[Point, ...]:
+    return tuple(Point(x, y) for x, y in coords)
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_walks_and_star_rings(self, seed):
+        rng = np.random.default_rng([31, seed])
+        for _ in range(5):
+            assert_exact_maximum(random_walk_polyline(rng, SQUARE, int(rng.integers(2, 9))))
+            assert_exact_maximum(random_star_ring(rng, SQUARE, int(rng.integers(6, 10))))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_integer_grid_polylines(self, seed):
+        rng = np.random.default_rng([32, seed])
+        for k in range(10):
+            poly = grid_polyline(rng, int(rng.integers(2, 5)), int(rng.integers(2, 8)), k % 2 == 1)
+            assert_exact_maximum(poly)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_convex_rings(self, seed):
+        ring = random_convex_polygon(seed, n_vertices=8).as_polyline()
+        assert_exact_maximum(ring)
+        assert max_line_multiplicity(ring).count == 2
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            Polyline(points((0, 0), (1, 0), (2, 0), (3, 0))),
+            Polyline(points((0, 0), (2, 0), (1, 0), (3, 0))),
+            Polyline(points((0, 0), (1, 1), (2, 2), (3, 3), (1, 1))),
+            Polyline(points((0, 0), (1, 0), (2, 0)), closed=True),
+        ],
+        ids=["chain", "folded-chain", "diagonal-retrace", "flat-ring"],
+    )
+    def test_collinear_chains(self, poly):
+        assert_exact_maximum(poly)
+        assert max_line_multiplicity(poly).count == 1
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            Polyline(points((0, 0), (2, 0), (1, 1), (0, 0), (1, -1), (2, 0))),
+            Polyline(points((0, 0), (1, 1), (2, 0), (1, 1), (0, 2), (1, 1), (2, 2))),
+            Polyline(points((0, 0), (3, 0), (3, 3), (0, 3), (0, 0), (1, 2))),
+            Polyline(points((1, 1), (0, 0), (2, 0), (1, 1), (2, 2), (0, 2)), closed=True),
+        ],
+        ids=["figure-eight", "star-through-hub", "ring-plus-tail", "closed-bowtie"],
+    )
+    def test_repeated_vertices(self, poly):
+        assert_exact_maximum(poly)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            Polyline(points((0, 0), (1, 1), (2, 0), (1, 2), (1, -1))),
+            Polyline(points((-1, 0), (1, 0), (0, 1), (0, -1), (1, 1))),
+            Polyline(points((0, 0), (4, 0), (2, 2), (2, -2), (0, 2), (4, -2))),
+        ],
+        ids=["edge-through-vertex", "cross-at-midpoint", "three-edges-one-point"],
+    )
+    def test_curve_through_its_own_vertex(self, poly):
+        assert_exact_maximum(poly)
+
+    def test_overlapping_edges_below_the_top_score(self):
+        # the top score counts the two retraced edges separately, but every
+        # line crosses them in one point, so lower scores are replayed too
+        poly = Polyline(points((0, 2), (2, 0), (0, 2), (1, 1), (0, 0)))
+        assert_exact_maximum(poly)
+        assert max_line_multiplicity(poly).count == 2
+
+
+class TestScores:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_score_is_the_sign_formula_of_its_witness(self, seed):
+        rng = np.random.default_rng([33, seed])
+        for poly in (
+            random_walk_polyline(rng, SQUARE, 6),
+            grid_polyline(rng, 3, 6, closed=bool(seed % 2)),
+        ):
+            sweep = stabbing._Sweep(poly)
+            screen = stabbing._Screen(poly)
+            for piv, scores, rep in sweep.scored_chunks():
+                for flat in np.flatnonzero(scores >= 0):
+                    report = sweep.replay(piv, scores, rep, int(flat))
+                    signs = np.array([[report.witness.side_of(v) for v in poly.vertices]], np.int8)
+                    assert screen._count_from_signs(signs)[0] == scores.flat[flat]
+                    assert report.count <= scores.flat[flat]
+
+    def test_chunks_give_the_same_result(self, monkeypatch):
+        poly = random_walk_polyline(9, SQUARE, n_segments=24)
+        whole = max_line_multiplicity(poly)
+        monkeypatch.setattr(stabbing, "_SWEEP_ENTRIES", 1)  # one pivot per chunk
+        chunked = max_line_multiplicity(poly)
+        assert (chunked.count, chunked.witness) == (whole.count, whole.witness)
+
+
+class TestFloatFilter:
+    def test_directions_closer_than_float_resolution(self):
+        # a zigzag of amplitude 1e-30: every direction from a vertex lies
+        # inside the error band and is ordered by exact cross products
+        tiny = Fraction(1, 10**30)
+        poly = Polyline(points((0, 0), (1, tiny), (2, 0), (3, tiny), (4, 0), (5, tiny)))
+        assert_exact_maximum(poly)
+        assert max_line_multiplicity(poly).count == 5
+
+    @pytest.mark.parametrize("shrink", [6, 7, 8, 9])
+    def test_tiny_features_far_from_the_origin(self, shrink):
+        # walks scaled to 1e-6..1e-9 at about (1e8, 1e8): rounding the
+        # coordinates to floats reorders or merges directions, which only
+        # the band's exact re-decisions put right
+        scale = Fraction(1, 10**shrink)
+        shift = (Fraction(10**8) + Fraction(1, 3), Fraction(10**8) + Fraction(1, 7))
+        for seed in range(40):
+            poly = random_walk_polyline(seed, SQUARE, 7)
+            moved = _moved(poly, 1, 0, scale, shift)
+            assert max_line_multiplicity(moved).count == max_line_multiplicity(poly).count
+
+    def test_distinct_vertices_with_equal_float_views(self):
+        tiny = Fraction(1, 10**30)
+        poly = Polyline(points((0, 0), (1, 1), (1 + tiny, 0), (1, -1), (1 + 2 * tiny, 2)))
+        assert float(poly.vertices[2].x) == float(poly.vertices[1].x)
+        assert_exact_maximum(poly)
+
+    @pytest.mark.parametrize(
+        "coord", [Fraction(2) ** 501, Fraction(-(10**400)), Fraction(10**400, 3)]
+    )
+    def test_coordinates_beyond_the_bound_are_refused(self, coord):
+        poly = Polyline((Point(0, 0), Point(coord, 1), Point(0, 1)))
+        with pytest.raises(PreconditionError):
+            max_line_multiplicity(poly)
+        with pytest.raises(PreconditionError):
+            random_line_oracle(poly, trials=10, seed=0)
+
+    def test_coordinates_at_the_bound_are_accepted(self):
+        big = Fraction(2) ** 500
+        poly = Polyline((Point(-big, 0), Point(big, 1), Point(0, -big), Point(1, big)))
+        assert_exact_maximum(poly)
+        assert random_line_oracle(poly, trials=100, seed=0).count <= 3
+
+
+# hypothesis strategies: small integer polylines, open or closed
+_coords = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def polylines(draw) -> Polyline:
+    raw = draw(st.lists(_coords, min_size=2, max_size=7))
+    verts = [v for i, v in enumerate(raw) if i == 0 or v != raw[i - 1]]
+    if len(verts) < 2:
+        verts.append((verts[0][0] + 1, verts[0][1]))
+    closed = len(verts) >= 3 and verts[0] != verts[-1] and draw(st.booleans())
+    return Polyline(points(*verts), closed)
+
+
+def _moved(poly: Polyline, c, s, scale, shift) -> Polyline:
+    verts = (rigid_motion(Point(v.x * scale, v.y * scale), c, s, shift) for v in poly.vertices)
+    return Polyline(tuple(verts), poly.closed)
+
+
+class TestInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(polylines())
+    def test_exact_rotation(self, poly):
+        c, s = Fraction(3, 5), Fraction(4, 5)
+        rep = max_line_multiplicity(poly)
+        moved = _moved(poly, c, s, 1, (0, 0))
+        w = rep.witness
+        # n'·(R x) = n·x for n' = R n
+        moved_witness = Line(c * w.nx - s * w.ny, s * w.nx + c * w.ny, w.c)
+        assert line_multiplicity(moved_witness, moved).count == rep.count
+        assert max_line_multiplicity(moved).count == rep.count
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        polylines(),
+        st.integers(0, 7),
+        st.fractions(-(10**8), 10**8, max_denominator=1000),
+        st.fractions(-(10**8), 10**8, max_denominator=1000),
+    )
+    def test_translation_of_small_features(self, poly, shrink, dx, dy):
+        # features down to 1e-7 at offsets up to 1e8 leave the float angles
+        # without a single correct digit: the band must hand them to the
+        # exact comparison
+        scale = Fraction(1, 10**shrink)
+        moved = _moved(poly, 1, 0, scale, (dx, dy))
+        assert max_line_multiplicity(moved).count == max_line_multiplicity(poly).count
+
+    @settings(max_examples=60, deadline=None)
+    @given(polylines(), st.fractions(Fraction(-1000), Fraction(1000), max_denominator=997))
+    def test_uniform_rational_scaling(self, poly, scale):
+        if scale == 0:
+            scale = Fraction(1, 997)
+        moved = _moved(poly, 1, 0, scale, (0, 0))
+        assert max_line_multiplicity(moved).count == max_line_multiplicity(poly).count
