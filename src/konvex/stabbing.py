@@ -31,6 +31,11 @@ intervals and scores are exact.  The random oracle screens float lines
 against a similar band and re-decides banded vertices exactly.  Both replay
 candidates exactly in descending score order until no remaining score can
 beat the best exact count, so screening never changes a reported number.
+
+`find_stabbing_line` runs the same sweep and replay but stops at the first
+candidate whose exact count reaches r + 1, so the constructive direction of
+the theorem rests on the exact algorithm alone.  `projection_witness`, the
+proof's pigeonhole angle, stays public but chooses no stabbing line.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from .projections import chord_term, projection_length_samples, width_samples
 METHOD_DIRECT = "direct"
 METHOD_ORACLE = "oracle"
 METHOD_SWEEP = "rotational_sweep"
-METHOD_WITNESS_SWEEP = "witness_sweep"
 
 _EPS = float(np.finfo(np.float64).eps)
 _BAND_FACTOR = 16.0  # safety margin over the rounding bounds of both float filters
@@ -420,28 +424,49 @@ class _Sweep:
         raise VerificationError("no witness line avoids the curve's self-intersections")
 
 
-def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
-    """Maximum multiplicity over all lines, by the rotational sweep.
+def _replay_descending(
+    scores: np.ndarray,
+    replay: Callable[[int], MultiplicityReport],
+    best: MultiplicityReport | None,
+    enough: float,
+) -> MultiplicityReport:
+    """Best exact replay, `best` included, of candidates taken in descending
+    score order (ascending flat index within a score).  Stops once the best
+    count reaches `enough` or the next score; a score bounds its candidate's
+    exact count, so in the second case no candidate left out can beat it."""
+    level = int(scores.max())
+    while best is None or best.count < min(level, enough):
+        for flat in np.flatnonzero(scores == level):
+            report = replay(int(flat))
+            if best is None or report.count > best.count:
+                best = report
+            if best.count >= min(level, enough):
+                break
+        level -= 1
+    return best
 
-    Chunk by chunk, candidates are replayed in descending score order until
-    the best exact count reaches the next score; a score bounds its
-    candidate's exact count, so every candidate left out is covered.
-    Coordinates must lie within ±2^500.
-    """
+
+def _sweep_best(poly: Polyline, enough: float) -> MultiplicityReport:
+    """The best exact replay of the rotational sweep, chunk by chunk, cut
+    short once a count reaches `enough`."""
     sweep = _Sweep(poly)
     best: MultiplicityReport | None = None
     for piv, scores, rep in sweep.scored_chunks():
-        level = int(scores.max())
-        while best is None or level > best.count:
-            for flat in np.flatnonzero(scores == level):
-                report = sweep.replay(piv, scores, rep, int(flat))
-                if best is None or report.count > best.count:
-                    best = report
-                if best.count >= level:
-                    break
-            level -= 1
+        best = _replay_descending(
+            scores, lambda flat: sweep.replay(piv, scores, rep, flat), best, enough
+        )
+        if best.count >= enough:
+            break
     assert best is not None
     return best
+
+
+def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
+    """Maximum multiplicity over all lines, by the rotational sweep.
+
+    Coordinates must lie within ±2^500.
+    """
+    return _sweep_best(poly, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +533,6 @@ class _Screen:
         return (crossings + runs).astype(np.int64)
 
 
-def _best_verified(
-    scores: np.ndarray, replay: Callable[[int], MultiplicityReport]
-) -> MultiplicityReport:
-    """Replay candidates in descending score order until no remaining score,
-    an upper bound on its candidate's exact count, can beat the best one."""
-    best: MultiplicityReport | None = None
-    for idx in np.argsort(-scores, kind="stable"):
-        if best is not None and scores[idx] <= best.count:
-            break
-        report = replay(int(idx))
-        if best is None or report.count > best.count:
-            best = report
-    assert best is not None
-    return best
-
-
 def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityReport:
     """Maximum multiplicity over `trials` random lines; the independent check
     for the rotational sweep.
@@ -549,9 +558,11 @@ def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityRe
         blocks.append(np.column_stack([nx, ny, c]))
         counts.append(screen.counts(blocks[-1]))
     coefs = np.concatenate(blocks)
-    return _best_verified(
+    return _replay_descending(
         np.concatenate(counts),
         lambda i: line_multiplicity(screen.canonical_line(coefs[i]), poly, METHOD_ORACLE),
+        None,
+        math.inf,
     )
 
 
@@ -622,38 +633,6 @@ def projection_witness(poly: Polyline, r: int, body: ConvexPolygon) -> float | N
     return alpha_star if refined >= grid_best else float(alphas[best])
 
 
-def _depth_cells(poly: Polyline, alpha: float) -> list[tuple[int, float, float]]:
-    """Coverage cells of the segment projections onto direction alpha,
-    as (depth, lo, hi), zero-width projections discarded."""
-    u = (math.cos(alpha), math.sin(alpha))
-    events: list[tuple[float, int]] = []
-    for seg in poly.segments():
-        (ax, ay), (bx, by) = seg.a.xy, seg.b.xy
-        ta = u[0] * ax + u[1] * ay
-        tb = u[0] * bx + u[1] * by
-        if ta == tb:
-            continue  # projects to a point; no transversal line crosses it
-        lo, hi = (ta, tb) if ta < tb else (tb, ta)
-        events.append((lo, 1))
-        events.append((hi, -1))
-    if not events:
-        return []
-    events.sort()
-    cells: list[tuple[int, float, float]] = []
-    depth = 0
-    pos = events[0][0]
-    k = 0
-    while k < len(events):
-        t = events[k][0]
-        if t > pos and depth > 0:
-            cells.append((depth, pos, t))
-        while k < len(events) and events[k][0] == t:
-            depth += events[k][1]
-            k += 1
-        pos = t
-    return cells
-
-
 def find_stabbing_line(
     poly: Polyline, r: int, body: ConvexPolygon
 ) -> tuple[Line, MultiplicityReport]:
@@ -661,12 +640,13 @@ def find_stabbing_line(
     components; defined whenever the polyline is longer than the threshold
     s(body, r).
 
-    Projects all segments onto the witness direction and sweeps the interval
-    endpoints for a maximal coverage-depth cell (leftmost on ties); the
-    returned line runs through the cell midpoint perpendicular to the witness
-    direction.  Every candidate is replayed through line_multiplicity before
-    being returned; if no sweep cell verifies, the exact maximum
-    (`max_line_multiplicity`) is the fallback.
+    Runs the rotational sweep of `max_line_multiplicity` and returns the
+    first candidate, in descending score order, whose exact replay reaches
+    r + 1, so the returned report is an exact `line_multiplicity` count.
+    Raises VerificationError when no line reaches r + 1.  That happens on
+    curves that retrace themselves: a component of line ∩ polyline counts
+    a retraced stretch once, so such a curve can be longer than s while
+    every line meets it at most r times.
     """
     threshold = s_bound(body, r)
     if not polyline_length(poly) > threshold:
@@ -674,20 +654,7 @@ def find_stabbing_line(
             f"bound not exceeded: length {polyline_length(poly):.9g} <= s = {threshold:.9g}"
         )
     _require_inside(poly, body)
-
-    alpha = projection_witness(poly, r, body)
-    if alpha is not None:
-        cells = _depth_cells(poly, alpha)
-        cells.sort(key=lambda cell: (-cell[0], cell[1]))
-        for depth, lo, hi in cells[:64]:
-            if depth <= r:
-                break
-            line = Line.from_direction_offset(alpha, (lo + hi) / 2.0)
-            report = line_multiplicity(line, poly, METHOD_WITNESS_SWEEP)
-            if report.count >= r + 1:
-                return line, report
-
-    report = max_line_multiplicity(poly)
+    report = _sweep_best(poly, r + 1)
     if report.count >= r + 1:
         return report.witness, report
     raise VerificationError(

@@ -70,14 +70,15 @@ def _report_base(body: ConvexPolygon, r: int, side: str, evidence: dict) -> Boun
 
 def check_upper_bound(poly: Polyline, body: ConvexPolygon, r: int) -> BoundReport:
     """If the polyline is longer than s(K, r), produce a verified line meeting
-    it r + 1 times; otherwise report that it is within the bound."""
-    _require_inside(poly, body)
+    it r + 1 times; otherwise report that it is within the bound.
+    Containment is checked once, here or inside find_stabbing_line."""
     length = polyline_length(poly)
     threshold = s_bound(body, r)
     if length > threshold:
         line, report = find_stabbing_line(poly, r, body)
         evidence = {"status": "stabbed", "length": length, "line": line, "report": report}
     else:
+        _require_inside(poly, body)
         evidence = {"status": "within_bound", "length": length}
     return _report_base(body, r, SIDE_UPPER, evidence)
 

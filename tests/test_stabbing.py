@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from konvex.errors import PreconditionError
+from konvex import stabbing
+from konvex.errors import PreconditionError, VerificationError
 from konvex.geometry import (
     ConvexPolygon,
     Line,
@@ -14,7 +16,7 @@ from konvex.geometry import (
     width,
 )
 from konvex.projections import projection_length
-from konvex.random_shapes import random_walk_polyline
+from konvex.random_shapes import random_star_ring, random_walk_polyline
 from konvex.stabbing import (
     find_stabbing_line,
     line_multiplicity,
@@ -39,6 +41,29 @@ def lengthy_instance() -> Polyline:
             Point("0.1", "0.05"),
         )
     )
+
+
+def half_retraced_loop(n_vertices: int) -> Polyline:
+    """A spiky star loop traversed once, then again along its first half.
+    The retraced edges overlap, so every screen score counts them twice
+    while any line meets them in one component."""
+    ring = random_star_ring(np.random.default_rng(0), SQUARE, n_vertices=n_vertices)
+    v = list(ring.vertices)
+    return Polyline(tuple(v + v[:1] + v[1 : n_vertices // 2 + 1]))
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Methods of every exact replay made through stabbing.line_multiplicity."""
+    calls = []
+    exact = stabbing.line_multiplicity
+
+    def counting(line, poly, method=stabbing.METHOD_DIRECT):
+        calls.append(method)
+        return exact(line, poly, method)
+
+    monkeypatch.setattr(stabbing, "line_multiplicity", counting)
+    return calls
 
 
 class TestLineMultiplicity:
@@ -112,6 +137,19 @@ class TestMaxLineMultiplicity:
         b = random_line_oracle(poly, trials=500, seed=42)
         assert a.count == b.count
         assert a.witness == b.witness
+
+    def test_oracle_count_and_witness_pinned(self, replays):
+        # the top screen counts over-count on this curve, so the replay
+        # order (descending count, then draw order) decides the witness
+        rep = random_line_oracle(half_retraced_loop(16), trials=1000, seed=1)
+        assert len(replays) > 100
+        assert rep.count == 8
+        assert rep.method == "oracle"
+        assert (rep.witness.nx, rep.witness.ny, rep.witness.c) == (
+            Fraction("0.967358611258230194351881436887197196483612060546875"),
+            Fraction("0.253411359699103388987140306198853068053722381591796875"),
+            Fraction("0.7664503896289553974696673321886919438838958740234375"),
+        )
 
     def test_oracle_rejects_zero_trials(self):
         with pytest.raises(PreconditionError):
@@ -233,8 +271,6 @@ class TestFindStabbingLine:
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_generated_instances(self, r):
-        import numpy as np
-
         threshold = {2: 4.0, 3: 4 + math.sqrt(2), 4: 8.0}[r]
         done = 0
         seed = 0
@@ -248,3 +284,24 @@ class TestFindStabbingLine:
             assert rep.count >= r + 1
             assert line_multiplicity(line, poly).count == rep.count
             done += 1
+
+    def test_retraced_diagonal_has_no_stabbing_line(self):
+        # length 3·√2 > s(square, 2) = 4, but every line meets it in at most
+        # one component
+        poly = Polyline((Point(0, 0), Point(1, 1), Point(0, 0), Point(1, 1)))
+        assert polyline_length(poly) > 4
+        with pytest.raises(VerificationError, match="no line with multiplicity 3"):
+            find_stabbing_line(poly, 2, SQUARE)
+
+    def test_stops_at_the_first_line_reaching_r_plus_1(self, replays):
+        poly = half_retraced_loop(24)
+        r = 4
+        assert polyline_length(poly) > 8
+        line, rep = find_stabbing_line(poly, r, SQUARE)
+        assert len(replays) <= 2
+        assert rep.count >= r + 1
+        assert rep.method == "rotational_sweep"
+        assert rep.witness == line
+        replays.clear()
+        max_line_multiplicity(poly)
+        assert len(replays) > 100

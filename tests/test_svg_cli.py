@@ -125,6 +125,16 @@ class TestCli:
         assert main(["stab", ring_file, "2", square_file]) == 1
         assert "bound not exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stab", "verify"])
+    def test_no_stabbing_line_exit_2(self, tmp_path, square_file, command, capsys):
+        # the diagonal traced three times: longer than s = 4, met by every
+        # line in at most one component
+        path = tmp_path / "diagonal.txt"
+        path.write_text("open\n0 0\n1 1\n0 0\n1 1\n")
+        args = [str(path), "2", square_file] if command == "stab" else [str(path), square_file, "2"]
+        assert main([command, *args]) == 2
+        assert "verification failure" in capsys.readouterr().err
+
     def test_construct_writes_curve_and_sidecar(self, tmp_path, square_file, capsys):
         out = tmp_path / "curve"
         code = main(

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from konvex import geometry
 from konvex.builder import ConstructionParams, build_curve
 from konvex.errors import NotSimpleError, PreconditionError
 from konvex.geometry import ConvexPolygon, Point, Polyline, diameter, perimeter
@@ -84,6 +85,22 @@ class TestCheckUpperBound:
     def test_rejects_escaping_polyline(self):
         with pytest.raises(PreconditionError):
             check_upper_bound(Polyline((Point(0, 0), Point(9, 9))), SQUARE, 2)
+
+    @pytest.mark.parametrize("status", ["stabbed", "within_bound"])
+    def test_scans_containment_once(self, monkeypatch, status):
+        tail = (Point("0.1", "0.05"),) if status == "stabbed" else ()
+        poly = Polyline(SQUARE.ring + (Point(0, 0),) + tail)
+        calls = []
+        exact = geometry.contains
+
+        def counting(body, p):
+            calls.append(p)
+            return exact(body, p)
+
+        monkeypatch.setattr(geometry, "contains", counting)
+        report = check_upper_bound(poly, SQUARE, 2)
+        assert report.evidence["status"] == status
+        assert len(calls) == len(poly.vertices)
 
 
 class TestFalsify:
