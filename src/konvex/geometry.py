@@ -4,7 +4,17 @@ Coordinates are stored as exact rationals (`fractions.Fraction`), so the
 sign predicates (orientation, point-in-polygon, point-on-line) are exact:
 no epsilons, no tie-breaking heuristics.  Metric quantities (lengths,
 widths, angles) are computed in double precision from float views of the
-same coordinates.
+same coordinates; a point converts its coordinates once, on first use,
+and refuses coordinates beyond double range with PreconditionError.
+
+`orientation` is filtered (Shewchuk 1997, "Adaptive Precision
+Floating-Point Arithmetic and Fast Robust Geometric Predicates"): it
+evaluates the determinant from the float views and returns that sign when
+its magnitude exceeds a static bound on every rounding error, from the
+conversion of the six coordinates to the final subtraction.  Otherwise,
+or when a coordinate has no float view, it decides with the exact
+`Fraction` cross product.  The filter only skips work: every sign it
+returns is the exact one.
 
 Decimal strings ingest exactly ("0.1" becomes 1/10); Python floats ingest
 as their exact binary value.
@@ -13,6 +23,7 @@ as their exact binary value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -25,6 +36,14 @@ Coordinate = Fraction | int | float | str
 LEFT = 1
 COLLINEAR = 0
 RIGHT = -1
+
+# Static filter of `orientation`.  Rounding the six conversions, the two
+# differences, the two products and the subtraction errs by at most about
+# 3 eps times the sum of the magnitude products; 16 eps leaves a wide
+# margin.  _UNDERFLOW, added to every magnitude sum and to the bound, covers
+# the absolute error of subnormal conversions and results.
+_FILTER = 16.0 * sys.float_info.epsilon
+_UNDERFLOW = 2.0**-1000
 
 # Containment classes.
 INTERIOR = "interior"
@@ -53,6 +72,7 @@ def to_fraction(value: Coordinate) -> Fraction:
 class Point:
     x: Fraction
     y: Fraction
+    _xy = None  # not a field: the float view, stored by `xy` on first use
 
     def __post_init__(self):
         object.__setattr__(self, "x", to_fraction(self.x))
@@ -60,8 +80,15 @@ class Point:
 
     @property
     def xy(self) -> tuple[float, float]:
-        """Double-precision view for metric work."""
-        return (float(self.x), float(self.y))
+        """Double-precision view for metric work, computed once."""
+        xy = self._xy
+        if xy is None:
+            try:
+                xy = (float(self.x), float(self.y))
+            except OverflowError:
+                raise PreconditionError("a coordinate lies beyond double range") from None
+            object.__setattr__(self, "_xy", xy)
+        return xy
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter((self.x, self.y))
@@ -102,7 +129,26 @@ def cross(o: Point, a: Point, b: Point) -> Fraction:
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
-    """Exact turn direction of the triple: LEFT, RIGHT or COLLINEAR."""
+    """Exact turn direction of the triple: LEFT, RIGHT or COLLINEAR.
+
+    Decided by the float filter when it can, by `cross` otherwise.
+    """
+    try:
+        px, py = p.xy
+        qx, qy = q.xy
+        rx, ry = r.xy
+    except PreconditionError:
+        pass
+    else:
+        det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+        bound = _FILTER * (
+            (abs(qx) + abs(px) + _UNDERFLOW) * (abs(ry) + abs(py) + _UNDERFLOW)
+            + (abs(qy) + abs(py) + _UNDERFLOW) * (abs(rx) + abs(px) + _UNDERFLOW)
+        ) + _UNDERFLOW
+        if det > bound:
+            return LEFT
+        if det < -bound:
+            return RIGHT
     c = cross(p, q, r)
     if c > 0:
         return LEFT
@@ -239,6 +285,15 @@ def _antipodal_pairs(ring: Sequence[Point]) -> Iterator[tuple[int, int]]:
             yield (i2, j2)
 
 
+def _root(d2: Fraction, a: Point, b: Point) -> float:
+    """The distance |a - b| from its exact square d2, or from the float
+    views when d2 itself lies beyond double range."""
+    try:
+        return math.sqrt(float(d2))
+    except OverflowError:
+        return math.dist(a.xy, b.xy)
+
+
 def diameter(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
     """Maximum vertex-pair distance and one realizing pair (rotating calipers).
 
@@ -258,7 +313,7 @@ def diameter(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
             best = (d2, key)
     assert best is not None and n >= 3
     i, j = best[1]
-    return (math.sqrt(float(best[0])), ring[i], ring[j])
+    return (_root(best[0], ring[i], ring[j]), ring[i], ring[j])
 
 
 def s_bound(body: ConvexPolygon, r: int) -> float:
@@ -283,7 +338,8 @@ def diameter_bruteforce(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
             if d2 > best_d2:
                 best_d2 = d2
                 best = (i, j)
-    return (math.sqrt(float(best_d2)), ring[best[0]], ring[best[1]])
+    i, j = best
+    return (_root(best_d2, ring[i], ring[j]), ring[i], ring[j])
 
 
 def width(polygon: ConvexPolygon, alpha: float) -> float:
@@ -322,8 +378,7 @@ def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
     Raises DegeneracyError when the input spans no area (fewer than 3
     distinct points, or all collinear).
     """
-    unique = sorted(set((p.x, p.y) for p in points))
-    pts = [Point(x, y) for x, y in unique]
+    pts = sorted(set(points), key=lambda p: (p.x, p.y))
     if len(pts) < 3:
         raise DegeneracyError("convex hull needs at least 3 distinct points")
 

@@ -27,8 +27,11 @@ Exactness contract: every reported count is produced by `line_multiplicity`,
 which decides all incidences with exact rational arithmetic.  The sweep
 orders directions by float angle and re-decides every pair of angles that
 its rounding-error band cannot separate with an exact cross product, so its
-intervals and scores are exact.  The random oracle screens float lines
-against a similar band and re-decides banded vertices exactly.  Both replay
+intervals and scores are exact.  The random oracle screens its float
+lines in cache-sized blocks: one projection of the vertices per block gives
+both the lines' offsets and the vertices' signs, a line whose vertices all
+clear the rounding band counts its sign changes directly, and only banded
+vertices are re-decided with exact arithmetic.  Both replay
 candidates exactly in descending score order until no remaining score can
 beat the best exact count, so screening never changes a reported number.
 
@@ -54,6 +57,8 @@ from .geometry import (
     Line,
     Point,
     Polyline,
+    _FILTER,
+    _UNDERFLOW,
     _require_inside,
     orientation,
     polyline_length,
@@ -66,15 +71,14 @@ METHOD_DIRECT = "direct"
 METHOD_ORACLE = "oracle"
 METHOD_SWEEP = "rotational_sweep"
 
-_EPS = float(np.finfo(np.float64).eps)
-_BAND_FACTOR = 16.0  # safety margin over the rounding bounds of both float filters
 # Coordinates are refused beyond 2^500 in absolute value: products of two
 # coordinate differences (below 2^1002) then stay finite in double precision.
 _COORD_LIMIT = 2.0**500
 _TINY = 1e-290  # absolute floor of the angle band: covers subnormal rounding
 _SWEEP_ENTRIES = 1 << 18  # pivot-by-vertex entries per sweep chunk
 _GENERIC_TRIES = 8  # open-cell witness shifts tried before giving up
-_SCREEN_CHUNK = 8192
+_SCREEN_CHUNK = 8192  # random lines per generator draw: it fixes the oracle's random stream
+_SCREEN_ENTRIES = 1 << 15  # line-by-vertex entries per screened block
 _WITNESS_GRID = 4096  # angles in projection_witness's coarse search
 
 # sweep candidates for a pivot and its angular interval (or event) k
@@ -190,10 +194,7 @@ def proper_crossings(line: Line, poly: Polyline) -> int:
 
 def _float_points(poly: Polyline) -> np.ndarray:
     """Float view of the vertices, refused outside ±_COORD_LIMIT."""
-    try:
-        pts = np.array(poly.float_vertices(), dtype=np.float64)
-    except OverflowError:
-        raise PreconditionError("a vertex coordinate is out of float range") from None
+    pts = np.array(poly.float_vertices(), dtype=np.float64)
     if not np.all(np.abs(pts) <= _COORD_LIMIT):
         raise PreconditionError("vertex coordinates must lie within ±2^500")
     return pts
@@ -316,7 +317,7 @@ class _Sweep:
         psi = np.arctan2(dy, dx)
         scale = np.maximum(np.abs(dx), dy) + self.mag[None, :] + self.mag[piv][:, None] + _TINY
         with np.errstate(divide="ignore"):
-            band = _BAND_FACTOR * _EPS * (scale / np.hypot(dx, dy) + 1.0)
+            band = _FILTER * (scale / np.hypot(dx, dy) + 1.0)
         # clusters: runs of overlapping [psi - band, psi + band] intervals
         lo = np.where(same, np.inf, psi - band)
         order = np.argsort(lo, axis=1, kind="stable")
@@ -474,63 +475,92 @@ def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
 # ---------------------------------------------------------------------------
 
 
-class _Screen:
-    """Vectorized component counting for batches of float lines, one
-    (nx, ny, c) row per line; a line's exact version is the rational lift of
-    its floats.
+def _count_from_signs(signs: np.ndarray, closed: bool) -> np.ndarray:
+    """Per row of vertex signs: strict crossings plus runs of zeros, the
+    component count of a line whose intersection points are distinct."""
+    if closed:
+        edge_pairs = signs.astype(np.int16) * np.roll(signs, -1, axis=1).astype(np.int16)
+    else:
+        edge_pairs = signs[:, :-1].astype(np.int16) * signs[:, 1:].astype(np.int16)
+    crossings = (edge_pairs < 0).sum(axis=1)
 
-    Counts derived here are exact for every vertex side the error band
-    certifies; banded vertices are re-decided with rational arithmetic
-    against the exact line.  The resulting count can exceed the true
-    component count only through coincident intersection points, so it is
-    a sound upper bound used to rank and prune lines.
+    zeros = signs == 0
+    if closed:
+        runs = (zeros & ~np.roll(zeros, 1, axis=1)).sum(axis=1)
+        all_on = zeros.all(axis=1)
+        if all_on.any():
+            runs[all_on] = 1
+    else:
+        runs = (zeros[:, 1:] & ~zeros[:, :-1]).sum(axis=1) + zeros[:, 0]
+    return (crossings + runs).astype(np.int64)
+
+
+def _lift(coefs: np.ndarray) -> Line:
+    """The exact line of a float (nx, ny, c) row: its rational lift."""
+    return Line(Fraction(float(coefs[0])), Fraction(float(coefs[1])), Fraction(float(coefs[2])))
+
+
+def _screen(poly: Polyline, pts: np.ndarray, lines: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """`_count_from_signs` of every float line (an (nx, ny, c) row, taken as
+    its rational lift) against the polyline, from the projections
+    `proj[i, j] = nx_i·x_j + ny_i·y_j` of its float vertices `pts`, which
+    it overwrites.
+
+    A vertex outside the error band has the float sign of proj - c.  A row
+    whose vertices all clear the band has no zeros, so its count is the
+    number of sign changes; rows with a banded vertex re-decide those
+    vertices exactly against the lifted line.  The count can exceed the
+    true component count only through coincident intersection points, so
+    it is a sound upper bound used to rank and prune lines.
     """
+    vals = np.subtract(proj, lines[:, 2:3], out=proj)
+    band = _FILTER * (
+        np.abs(lines[:, 0]) * np.abs(pts[:, 0]).max()
+        + np.abs(lines[:, 1]) * np.abs(pts[:, 1]).max()
+        + np.abs(lines[:, 2])
+    ) + _UNDERFLOW
+    left = vals > 0
+    counts = np.count_nonzero(left[:, 1:] != left[:, :-1], axis=1)
+    if poly.closed:
+        counts += left[:, 0] != left[:, -1]
+    np.abs(vals, out=vals)
+    banded_rows = np.flatnonzero(vals.min(axis=1) <= band)
+    if banded_rows.size:
+        signs = np.where(left[banded_rows], 1, -1).astype(np.int8)
+        for i, row in enumerate(banded_rows):
+            line = _lift(lines[row])
+            for col in np.flatnonzero(vals[row] <= band[row]):
+                signs[i, col] = line.side_of(poly.vertices[col])
+        counts[banded_rows] = _count_from_signs(signs, poly.closed)
+    return counts
 
-    def __init__(self, poly: Polyline):
-        self.poly = poly
-        self.pts = _float_points(poly)
-        self.closed = poly.closed
-        self.max_x = float(np.max(np.abs(self.pts[:, 0])))
-        self.max_y = float(np.max(np.abs(self.pts[:, 1])))
 
-    @staticmethod
-    def canonical_line(coefs: np.ndarray) -> Line:
-        return Line(
-            Fraction(float(coefs[0])), Fraction(float(coefs[1])), Fraction(float(coefs[2]))
-        )
-
-    def counts(self, coefs: np.ndarray) -> np.ndarray:
-        vals = coefs[:, :2] @ self.pts.T - coefs[:, 2:3]
-        band = _BAND_FACTOR * _EPS * (
-            np.abs(coefs[:, 0]) * self.max_x
-            + np.abs(coefs[:, 1]) * self.max_y
-            + np.abs(coefs[:, 2])
-        )
-        band = band[:, None]
-        signs = (vals > band).astype(np.int8) - (vals < -band).astype(np.int8)
-        uncertain = np.abs(vals) <= band
-        for row in np.nonzero(uncertain.any(axis=1))[0]:
-            line = self.canonical_line(coefs[row])
-            for col in np.nonzero(uncertain[row])[0]:
-                signs[row, col] = line.side_of(self.poly.vertices[int(col)])
-        return self._count_from_signs(signs)
-
-    def _count_from_signs(self, signs: np.ndarray) -> np.ndarray:
-        if self.closed:
-            edge_pairs = signs.astype(np.int16) * np.roll(signs, -1, axis=1).astype(np.int16)
-        else:
-            edge_pairs = signs[:, :-1].astype(np.int16) * signs[:, 1:].astype(np.int16)
-        crossings = (edge_pairs < 0).sum(axis=1)
-
-        zeros = signs == 0
-        if self.closed:
-            runs = (zeros & ~np.roll(zeros, 1, axis=1)).sum(axis=1)
-            all_on = zeros.all(axis=1)
-            if all_on.any():
-                runs[all_on] = 1
-        else:
-            runs = (zeros[:, 1:] & ~zeros[:, :-1]).sum(axis=1) + zeros[:, 0]
-        return (crossings + runs).astype(np.int64)
+def _screened_lines(poly: Polyline, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's random lines, one (nx, ny, c) row each, and their screen
+    counts.  Lines are drawn in chunks of _SCREEN_CHUNK and screened in
+    blocks of about _SCREEN_ENTRIES line-by-vertex entries, so each block
+    is projected once, and stays in cache, for both its offsets and its
+    signs."""
+    rng = np.random.default_rng(seed)
+    pts = _float_points(poly)
+    lines = np.empty((trials, 3))
+    counts = np.empty(trials, dtype=np.int64)
+    step = max(1, _SCREEN_ENTRIES // len(pts))
+    for start in range(0, trials, _SCREEN_CHUNK):
+        k = min(trials - start, _SCREEN_CHUNK)
+        theta = rng.uniform(0.0, math.pi, k)
+        u = rng.random(k)
+        nx, ny = np.cos(theta), np.sin(theta)
+        for lo in range(0, k, step):
+            part = slice(lo, min(lo + step, k))
+            rows = slice(start + part.start, start + part.stop)
+            proj = np.multiply.outer(nx[part], pts[:, 0])
+            proj += np.multiply.outer(ny[part], pts[:, 1])
+            low, high = proj.min(axis=1), proj.max(axis=1)
+            # the offset uniform over [low, high), exactly as Generator.uniform draws it
+            lines[rows] = np.column_stack([nx[part], ny[part], low + (high - low) * u[part]])
+            counts[rows] = _screen(poly, pts, lines[rows], proj)
+    return lines, counts
 
 
 def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityReport:
@@ -538,29 +568,15 @@ def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityRe
     for the rotational sweep.
 
     Directions are uniform on the half-circle; offsets are uniform over the
-    bounding box's projection extent for the sampled direction.  Deterministic
+    vertices' projection extent for the sampled direction.  Deterministic
     for a fixed seed.  Coordinates must lie within ±2^500.
     """
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    screen = _Screen(poly)
-    pts = screen.pts
-    blocks, counts = [], []
-    remaining = trials
-    while remaining > 0:
-        k = min(remaining, _SCREEN_CHUNK)
-        remaining -= k
-        theta = rng.uniform(0.0, math.pi, k)
-        nx, ny = np.cos(theta), np.sin(theta)
-        proj = nx[:, None] * pts[None, :, 0] + ny[:, None] * pts[None, :, 1]
-        c = rng.uniform(proj.min(axis=1), proj.max(axis=1))
-        blocks.append(np.column_stack([nx, ny, c]))
-        counts.append(screen.counts(blocks[-1]))
-    coefs = np.concatenate(blocks)
+    lines, counts = _screened_lines(poly, trials, seed)
     return _replay_descending(
-        np.concatenate(counts),
-        lambda i: line_multiplicity(screen.canonical_line(coefs[i]), poly, METHOD_ORACLE),
+        counts,
+        lambda i: line_multiplicity(_lift(lines[i]), poly, METHOD_ORACLE),
         None,
         math.inf,
     )

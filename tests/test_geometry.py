@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from konvex import geometry
 from konvex.errors import DegeneracyError, PreconditionError
 from konvex.geometry import (
     BOUNDARY,
@@ -19,6 +21,7 @@ from konvex.geometry import (
     Polyline,
     contains,
     convex_hull,
+    cross,
     diameter,
     diameter_bruteforce,
     dist_sq,
@@ -62,6 +65,108 @@ class TestOrientation:
         assert orientation(p, r, q) == -o
         assert orientation(q, r, p) == o
         assert orientation(r, p, q) == o
+
+
+# the filtered orientation against the sign of the exact cross product
+grid = st.integers(-(10**11), 10**11).map(lambda k: Fraction(k, 10**9))
+grid_points = st.builds(Point, grid, grid)
+ratios = st.fractions(Fraction(-10), Fraction(10), max_denominator=10**6)
+shifts = st.fractions(Fraction(-(10**8)), Fraction(10**8), max_denominator=10**3)
+
+
+def exact_sign(p: Point, q: Point, r: Point) -> int:
+    c = cross(p, q, r)
+    return (c > 0) - (c < 0)
+
+
+def filtered(p: Point, q: Point, r: Point) -> tuple[int, bool]:
+    """orientation(p, q, r) on fresh points, and whether it called `cross`."""
+    p, q, r = (Point(v.x, v.y) for v in (p, q, r))
+    with mock.patch.object(geometry, "cross", wraps=geometry.cross) as spy:
+        side = orientation(p, q, r)
+    return side, spy.called
+
+
+def on_line(p: Point, q: Point, t: Fraction) -> Point:
+    return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+
+
+def moved(points, scale, shift=(0, 0)):
+    return [Point(v.x * scale + shift[0], v.y * scale + shift[1]) for v in points]
+
+
+class TestFilteredOrientation:
+    @given(grid_points, grid_points, grid_points, shifts, shifts)
+    @settings(max_examples=300, deadline=None)
+    def test_grid_triples_skip_the_exact_path(self, p, q, r, sx, sy):
+        for triple in ((p, q, r), moved((p, q, r), 1, (sx, sy))):
+            side, exact = filtered(*triple)
+            assert side == exact_sign(*triple)
+            size = max(max(abs(v.x), abs(v.y)) for v in triple) + 1
+            if abs(cross(*triple)) >= size * size / 2**40:  # far above the filter's bound
+                assert not exact
+
+    @given(grid_points, grid_points, ratios, shifts, shifts)
+    @settings(max_examples=200, deadline=None)
+    def test_collinear_triples_reach_the_exact_path(self, p, q, t, sx, sy):
+        r = on_line(p, q, t)
+        for triple in ((p, q, r), moved((p, q, r), 1, (sx, sy))):
+            assert filtered(*triple) == (COLLINEAR, True)
+
+    @given(
+        grid_points, grid_points, ratios,
+        st.integers(12, 30), st.sampled_from([-1, 1]), st.integers(-3, 3), st.integers(-3, 3),
+        shifts, shifts,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_near_collinear_triples(self, p, q, t, exponent, sign, a, b, sx, sy):
+        delta = Fraction(sign, 10**exponent)
+        base = on_line(p, q, t)
+        r = Point(base.x + a * delta, base.y + b * delta)
+        for triple in ((p, q, r), moved((p, q, r), 1, (sx, sy))):
+            assert filtered(*triple)[0] == exact_sign(*triple)
+
+    @given(
+        grid_points, grid_points, ratios, st.integers(12, 30), st.integers(-3, 3),
+        st.sampled_from(
+            [Fraction(2) ** 500, Fraction(2) ** 498 * 3, Fraction(10) ** 400, Fraction(1, 10**300)]
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extreme_magnitudes(self, p, q, t, exponent, a, scale):
+        base = on_line(p, q, t)
+        r = Point(base.x + a * Fraction(1, 10**exponent), base.y)
+        for triple in ((p, q, r), (p, q, base)):
+            scaled = moved(triple, scale)
+            side, exact = filtered(*scaled)
+            assert side == exact_sign(*scaled)
+            if scale > 2**1024:  # no float view: decided by `cross` alone
+                assert exact
+
+    def test_subnormal_rounding_is_inside_the_bound(self):
+        # float views round 1.4 * 2^-1074 down to 2^-1074, turning the exact
+        # det 3 * 1.4 * 2^-1074 - 2^-1072 > 0 into -2^-1074 in floats, far
+        # above any purely relative bound
+        tiny = Fraction(1, 2**1074)
+        p, q = Point(0, 0), Point(3, Fraction(1, 2**600))
+        r = Point(Fraction(1, 2**472), tiny * Fraction(14, 10))
+        assert exact_sign(p, q, r) == LEFT
+        assert filtered(p, q, r) == (LEFT, True)
+
+    def test_beyond_double_range_uses_exact_predicates(self):
+        huge = Fraction(10) ** 400
+        with pytest.raises(PreconditionError):
+            Point(huge, 0).xy
+        triangle = ConvexPolygon((Point(0, 0), Point(huge, 0), Point(0, 1)))
+        assert orientation(Point(0, 0), Point(huge, 1), Point(huge, 2)) == LEFT
+        assert contains(triangle, Point(huge / 2, "0.25")) == INTERIOR
+        assert contains(triangle, Point(huge, "1e-9")) == EXTERIOR
+        assert Line.from_points(Point(0, 0), Point(huge, 1)).side_of(Point(huge, 2)) == LEFT
+
+    def test_float_view_is_computed_once(self):
+        p = Point("1/3", 2)
+        assert p.xy is p.xy == (1 / 3, 2.0)
+        assert p == Point("1/3", 2) and hash(p) == hash(Point("1/3", 2))
 
 
 class TestPolyline:
@@ -140,6 +245,13 @@ class TestDiameter:
         d_slow, _, _ = diameter_bruteforce(poly)
         assert d_fast == d_slow  # bit-exact, both from exact squared distances
         assert math.sqrt(float(dist_sq(a, b))) == d_fast
+
+    def test_squared_diameter_beyond_double_range(self):
+        # d^2 = 2e400 has no float view, d = 1.41e200 does
+        big = Fraction(10) ** 200
+        triangle = ConvexPolygon((Point(0, 0), Point(big, 0), Point(0, big)))
+        assert diameter(triangle)[0] == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+        assert diameter_bruteforce(triangle)[0] == diameter(triangle)[0]
 
 
 class TestWidth:

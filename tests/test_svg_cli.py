@@ -197,6 +197,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "{huge_body}", "2"],
+            ["construct", "{huge_body}", "3", "--out", "{tmp}/curve"],
+            ["falsify", "{huge_body}", "3", "--trials", "5"],
+            ["verify", "{ring}", "{huge_body}", "2"],
+            ["stab", "{ring}", "2", "{huge_body}"],
+            ["verify", "{huge_curve}", "{square}", "2"],
+            ["stab", "{huge_curve}", "2", "{square}"],
+        ],
+        ids=["bound-body", "construct-body", "falsify-body", "verify-body", "stab-body",
+             "verify-curve", "stab-curve"],
+    )
+    def test_coordinates_beyond_double_range_exit_1(
+        self, tmp_path, square_file, ring_file, capsys, argv
+    ):
+        # the triangle is strictly convex, which only the exact fallback of
+        # the filtered orientation can confirm; metric work then refuses it
+        files = {"huge_body": "0 0\n1e400 0\n0 1\n", "huge_curve": "open\n0 0\n1e400 1\n"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        paths = {name: str(tmp_path / f"{name}.txt") for name in files}
+        paths.update(square=square_file, ring=ring_file, tmp=str(tmp_path))
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file_exit_1(self, capsys):
         assert main(["bound", "no-such-file.txt", "2"]) == 1
 

@@ -1,7 +1,8 @@
 """The rotational sweep of max_line_multiplicity against an exact brute
 force over the whole line arrangement, its candidate scores against the
 sign-vector formula, its float filter on near-degenerate and large inputs,
-and its invariance under exact similarity motions."""
+and its invariance under exact similarity motions; the random oracle's
+screen counts against exact signs."""
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from konvex import stabbing
+from konvex.builder import ConstructionParams, build_curve
 from konvex.errors import PreconditionError
 from konvex.geometry import ConvexPolygon, Line, Point, Polyline, rigid_motion
 from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
@@ -163,12 +165,11 @@ class TestScores:
             grid_polyline(rng, 3, 6, closed=bool(seed % 2)),
         ):
             sweep = stabbing._Sweep(poly)
-            screen = stabbing._Screen(poly)
             for piv, scores, rep in sweep.scored_chunks():
                 for flat in np.flatnonzero(scores >= 0):
                     report = sweep.replay(piv, scores, rep, int(flat))
                     signs = np.array([[report.witness.side_of(v) for v in poly.vertices]], np.int8)
-                    assert screen._count_from_signs(signs)[0] == scores.flat[flat]
+                    assert stabbing._count_from_signs(signs, poly.closed)[0] == scores.flat[flat]
                     assert report.count <= scores.flat[flat]
 
     def test_chunks_give_the_same_result(self, monkeypatch):
@@ -177,6 +178,56 @@ class TestScores:
         monkeypatch.setattr(stabbing, "_SWEEP_ENTRIES", 1)  # one pivot per chunk
         chunked = max_line_multiplicity(poly)
         assert (chunked.count, chunked.witness) == (whole.count, whole.witness)
+
+
+def exact_counts(poly: Polyline, lines: np.ndarray) -> np.ndarray:
+    """Reference for the oracle's screen: the sign formula on exact sides of
+    each float line's rational lift."""
+    signs = [
+        [Line(*(Fraction(float(v)) for v in row)).side_of(p) for p in poly.vertices]
+        for row in lines
+    ]
+    return stabbing._count_from_signs(np.array(signs, np.int8), poly.closed)
+
+
+def lines_through_vertices(poly: Polyline, rng: np.random.Generator, k: int) -> np.ndarray:
+    """Float lines through two vertices each (exact on integer grids)."""
+    verts = poly.vertices
+    rows = []
+    while len(rows) < k:
+        p, q = (verts[int(i)] for i in rng.integers(0, len(verts), 2))
+        if p != q:
+            nx, ny = float(p.y - q.y), float(q.x - p.x)
+            rows.append((nx, ny, nx * float(p.x) + ny * float(p.y)))
+    return np.array(rows)
+
+
+class TestOracleScreen:
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_builder_curves(self, r):
+        curve = build_curve(SQUARE, ConstructionParams(r=r, eps=0.1 * r, m=64, seed=7)).curve
+        lines, counts = stabbing._screened_lines(curve, 600, seed=r)
+        assert np.array_equal(counts, exact_counts(curve, lines))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_rings_and_grid_polylines(self, seed):
+        rng = np.random.default_rng([44, seed])
+        for poly in (
+            random_star_ring(rng, SQUARE, n_vertices=12),
+            random_convex_polygon(rng, 9).as_polyline(),
+            grid_polyline(rng, 4, 10, closed=bool(seed % 2)),
+        ):
+            lines, counts = stabbing._screened_lines(poly, 1500, seed)
+            assert np.array_equal(counts, exact_counts(poly, lines))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lines_through_vertices_take_the_exact_path(self, seed):
+        rng = np.random.default_rng([45, seed])
+        poly = grid_polyline(rng, 5, 12, closed=bool(seed % 2))
+        lines = lines_through_vertices(poly, rng, 40)
+        pts = stabbing._float_points(poly)
+        proj = lines[:, :1] * pts[None, :, 0] + lines[:, 1:2] * pts[None, :, 1]
+        assert np.array_equal(stabbing._screen(poly, pts, lines, proj), exact_counts(poly, lines))
 
 
 class TestFloatFilter:
