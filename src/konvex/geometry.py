@@ -372,13 +372,24 @@ def _require_inside(poly: Polyline, body: ConvexPolygon) -> None:
             raise PreconditionError("polyline is not contained in the body")
 
 
+def _float_key(p: Point) -> tuple[float, Fraction, float, Fraction]:
+    """Sort key in the exact (x, y) order.  Rounding to double is monotone,
+    so only points with equal float views reach the exact comparison."""
+    x, y = p.xy
+    return (x, p.x, y, p.y)
+
+
 def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
     """Counterclockwise convex hull with collinear boundary points dropped.
 
     Raises DegeneracyError when the input spans no area (fewer than 3
     distinct points, or all collinear).
     """
-    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+    try:
+        ordered = sorted(points, key=_float_key)
+    except PreconditionError:  # a coordinate beyond double range
+        ordered = sorted(points, key=lambda p: (p.x, p.y))
+    pts = [p for i, p in enumerate(ordered) if i == 0 or p != ordered[i - 1]]
     if len(pts) < 3:
         raise DegeneracyError("convex hull needs at least 3 distinct points")
 
@@ -454,9 +465,20 @@ class Line:
         return self.nx * self.nx + self.ny * self.ny
 
     def unit(self) -> tuple[float, float, float]:
-        """(nx, ny, c) scaled to a unit normal, in doubles."""
-        scale = math.sqrt(float(self.norm_sq()))
-        return (float(self.nx) / scale, float(self.ny) / scale, float(self.c) / scale)
+        """(nx, ny, c) scaled to a unit normal, in doubles.
+
+        The coefficients are first divided exactly by max(|nx|, |ny|), so the
+        normal converts within double range whatever its size; an offset
+        that still lies beyond it raises PreconditionError.
+        """
+        big = max(abs(self.nx), abs(self.ny))
+        nx, ny = float(self.nx / big), float(self.ny / big)
+        try:
+            c = float(self.c / big)
+        except OverflowError:
+            raise PreconditionError("a line offset lies beyond double range") from None
+        scale = math.hypot(nx, ny)
+        return (nx / scale, ny / scale, c / scale)
 
     def side_of(self, p: Point) -> int:
         """Exact sign of nx*x + ny*y - c at p: LEFT, RIGHT or COLLINEAR (on line)."""

@@ -39,6 +39,16 @@ beat the best exact count, so screening never changes a reported number.
 candidate whose exact count reaches r + 1, so the constructive direction of
 the theorem rests on the exact algorithm alone.  `projection_witness`, the
 proof's pigeonhole angle, stays public but chooses no stabbing line.
+
+The sweep scores a batch of curves at once: a row is one curve and one of
+its pivots, and vertex columns are padded to the batch's largest curve.
+Single-curve callers sweep a batch of one.  `verifier.falsify` packs its
+trial curves, sorted by vertex count, into batches of about _SWEEP_ENTRIES
+padded entries and asks only whether some line meets a curve more than r
+times.  A curve whose every score is at most r is within r with no replay,
+since the scores bound every line's count; any other curve is replayed in
+descending score order until a count reaches r + 1 or the scores left
+cannot, so every count above r that it acts on is an exact replay.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -192,23 +202,30 @@ def proper_crossings(line: Line, poly: Polyline) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _float_points(poly: Polyline) -> np.ndarray:
+def _float_points(vertices: Sequence[Point]) -> np.ndarray:
     """Float view of the vertices, refused outside ±_COORD_LIMIT."""
-    pts = np.array(poly.float_vertices(), dtype=np.float64)
+    pts = np.array([v.xy for v in vertices], dtype=np.float64)
     if not np.all(np.abs(pts) <= _COORD_LIMIT):
         raise PreconditionError("vertex coordinates must lie within ±2^500")
     return pts
 
 
-def _ranks(values: list[Fraction]) -> np.ndarray:
-    """Dense rank of every exact value, so integer comparisons decide rational ones."""
-    order = sorted(range(len(values)), key=values.__getitem__)
+def _ranks(values: list[Fraction], views: np.ndarray) -> np.ndarray:
+    """Dense rank of every exact value, so integer comparisons decide rational ones.
+
+    Values are sorted by their float views, which rounding keeps in order;
+    only values with equal views are compared exactly."""
+    order = np.argsort(views, kind="stable")
+    differs = views[order[1:]] != views[order[:-1]]
+    tied = np.flatnonzero(~differs)
+    if tied.size:
+        breaks = np.flatnonzero(np.diff(tied) > 1)
+        for a, b in zip(np.r_[tied[0], tied[breaks + 1]], np.r_[tied[breaks], tied[-1]] + 2):
+            run = sorted(order[a:b].tolist(), key=values.__getitem__)
+            order[a:b] = run
+            differs[a : b - 1] = [values[i] != values[j] for i, j in zip(run, run[1:])]
     ranks = np.empty(len(values), dtype=np.int64)
-    rank = 0
-    for prev, i in zip([None] + order, order):
-        if prev is not None and values[i] != values[prev]:
-            rank += 1
-        ranks[i] = rank
+    ranks[order] = np.concatenate([[0], np.cumsum(differs)])
     return ranks
 
 
@@ -248,7 +265,13 @@ def _accidental(report: MultiplicityReport, poly: Polyline) -> bool:
 
 
 class _Sweep:
-    """Rotational sweep about every distinct vertex, in chunks of pivots.
+    """Rotational sweep about every distinct vertex of a batch of
+    polylines, in chunks of rows.
+
+    A row is one curve and one of its pivots.  Vertex columns are padded to
+    the batch's largest curve: a padded column is left out of the angular
+    order like the pivot's own coincident vertices, and its edge enters no
+    tally.  Ranks and point ids are computed once for the whole batch.
 
     For a pivot, each other vertex gets its exact direction class: `lower`
     (v - pivot points into the lower half plane, so it is negated into
@@ -260,27 +283,44 @@ class _Sweep:
     lower(a) == lower(b) and on the complement otherwise.
     """
 
-    def __init__(self, poly: Polyline):
-        verts = poly.vertices
-        self.poly = poly
-        self.pts = _float_points(poly)
-        self.mag = np.abs(self.pts).max(axis=1)
-        self.rank_x = _ranks([v.x for v in verts])
-        self.rank_y = _ranks([v.y for v in verts])
-        point = self.rank_x * (int(self.rank_y.max()) + 1) + self.rank_y
-        first, self.pid = np.unique(point, return_index=True, return_inverse=True)[1:]
-        self.pivots = np.sort(first)  # a polyline always has 2 distinct vertices
-        n = len(verts)
-        self.ea = np.arange(n if poly.closed else n - 1)
-        self.eb = (self.ea + 1) % n
+    def __init__(self, polys: Sequence[Polyline]):
+        self.polys = polys
+        sizes = np.array([len(poly.vertices) for poly in polys])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        verts = [v for poly in polys for v in poly.vertices]
+        pts = _float_points(verts)
+        rank_x = _ranks([v.x for v in verts], pts[:, 0])
+        rank_y = _ranks([v.y for v in verts], pts[:, 1])
+        pid = np.unique(rank_x * (int(rank_y.max()) + 1) + rank_y, return_inverse=True)[1]
+        # rows: each curve's first vertex of every distinct point, in order
+        curve = np.repeat(np.arange(len(polys)), sizes)
+        first = np.sort(np.unique(curve * (int(pid.max()) + 1) + pid, return_index=True)[1])
+        self.row_curve = curve[first]
+        self.row_pivot = first - starts[self.row_curve]
+        self.row_start = np.searchsorted(self.row_curve, np.arange(len(polys) + 1))
 
-    def _direction(self, pivot: int, v: int) -> tuple[Fraction, Fraction]:
+        col = np.arange(sizes.max())
+        self.pad = col[None, :] >= sizes[:, None]
+        index = np.minimum(starts[:, None] + col, len(verts) - 1)
+        self.pid = np.where(self.pad, -1, pid[index])
+        self.pts = pts[index]
+        self.mag = np.abs(self.pts).max(axis=2)
+        self.rank_x, self.rank_y = rank_x[index], rank_y[index]
+        # edge j joins vertex j to vertex eb[j]
+        self.eb = (col[None, :] + 1) % sizes[:, None]
+        closed = np.array([poly.closed for poly in polys])
+        self.edge = col[None, :] < np.where(closed, sizes, sizes - 1)[:, None]
+
+    def _direction(self, curve: int, pivot: int, v: int) -> tuple[Fraction, Fraction]:
         """Exact v - pivot, negated into the upper half plane (angle in [0, π))."""
-        p, q = self.poly.vertices[pivot], self.poly.vertices[v]
+        verts = self.polys[curve].vertices
+        p, q = verts[pivot], verts[v]
         dx, dy = q.x - p.x, q.y - p.y
         return (-dx, -dy) if dy < 0 or (dy == 0 and dx < 0) else (dx, dy)
 
-    def _resolve(self, pivot: int, order: np.ndarray, joined: np.ndarray, tie: np.ndarray):
+    def _resolve(
+        self, curve: int, pivot: int, order: np.ndarray, joined: np.ndarray, tie: np.ndarray
+    ):
         """Sort each cluster of angles the band cannot separate by exact cross
         products (in place), marking members parallel to their predecessor."""
         js = np.nonzero(joined)[0]
@@ -290,20 +330,34 @@ class _Sweep:
         by_angle = cmp_to_key(lambda s, t: _cross(t[0], s[0]))
         for a, b in zip(starts, stops):
             members = sorted(
-                ((self._direction(pivot, int(v)), int(v)) for v in order[a:b]), key=by_angle
+                ((self._direction(curve, pivot, int(v)), int(v)) for v in order[a:b]),
+                key=by_angle,
             )
             order[a:b] = [v for _, v in members]
             for i in range(1, len(members)):
                 tie[a + i] = _cross(members[i - 1][0], members[i][0]) == 0
 
-    def _chunk(self, piv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scores of every candidate of the pivots `piv` (rows × n × kind, -1
+    @staticmethod
+    def _per_row(table: np.ndarray, cr: np.ndarray) -> np.ndarray:
+        """Each chunk row's curve entry of a per-curve table: a read-only
+        broadcast, which copies nothing, when the rows share one curve."""
+        if cr[0] == cr[-1]:
+            return np.broadcast_to(table[cr[0]], (len(cr), *table.shape[1:]))
+        return table[cr]
+
+    def _chunk(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of every candidate of the rows (rows × width × kind, -1
         past a pivot's last interval) and the first vertex of every direction
-        class (rows × (n + 1), -1 past the last)."""
-        pts, n, rows = self.pts, len(self.pts), len(piv)
-        same = self.pid[None, :] == self.pid[piv][:, None]
-        ry, py = self.rank_y[None, :], self.rank_y[piv][:, None]
-        lower = (ry < py) | ((ry == py) & (self.rank_x[None, :] < self.rank_x[piv][:, None]))
+        class (rows × (width + 1), -1 past the last)."""
+        cr, pr = self.row_curve[rows], self.row_pivot[rows]
+        count, width = len(cr), self.pid.shape[1]
+        at = np.arange(count)
+        pid = self._per_row(self.pid, cr)
+        same = pid == pid[at, pr][:, None]
+        out = same | self._per_row(self.pad, cr)
+        rx, ry = self._per_row(self.rank_x, cr), self._per_row(self.rank_y, cr)
+        py, px = ry[at, pr][:, None], rx[at, pr][:, None]
+        lower = (ry < py) | ((ry == py) & (rx < px))
 
         # Float angles in [0, π].  Rounding is monotone, so the float y
         # difference has the exact sign and abs() negates exactly the lower
@@ -311,66 +365,69 @@ class _Sweep:
         # subtracting the coordinates (relative to the vector's length) plus
         # arctan2's own rounding; it is infinite for vectors that vanish in
         # floats, whose angles are then decided exactly against all others.
-        dx = pts[None, :, 0] - pts[piv, 0][:, None]
+        pts, mag = self._per_row(self.pts, cr), self._per_row(self.mag, cr)
+        dx = pts[:, :, 0] - pts[at, pr, 0][:, None]
         dx = np.where(lower, -dx, dx)
-        dy = np.abs(pts[None, :, 1] - pts[piv, 1][:, None])
+        dy = np.abs(pts[:, :, 1] - pts[at, pr, 1][:, None])
         psi = np.arctan2(dy, dx)
-        scale = np.maximum(np.abs(dx), dy) + self.mag[None, :] + self.mag[piv][:, None] + _TINY
+        scale = np.maximum(np.abs(dx), dy) + mag + mag[at, pr][:, None] + _TINY
         with np.errstate(divide="ignore"):
             band = _FILTER * (scale / np.hypot(dx, dy) + 1.0)
         # clusters: runs of overlapping [psi - band, psi + band] intervals
-        lo = np.where(same, np.inf, psi - band)
+        lo = np.where(out, np.inf, psi - band)
         order = np.argsort(lo, axis=1, kind="stable")
-        valid = ~np.take_along_axis(same, order, axis=1)
+        valid = ~np.take_along_axis(out, order, axis=1)
         reach = np.maximum.accumulate(np.take_along_axis(psi + band, order, axis=1), axis=1)
         joined = np.zeros_like(valid)
         joined[:, 1:] = valid[:, 1:] & (np.take_along_axis(lo, order, axis=1)[:, 1:] <= reach[:, :-1])
         tie = np.zeros_like(valid)
         for row in np.unique(np.nonzero(joined)[0]):
-            self._resolve(int(piv[row]), order[row], joined[row], tie[row])
+            self._resolve(int(cr[row]), int(pr[row]), order[row], joined[row], tie[row])
 
         first = valid & ~tie
         rank = np.cumsum(first, axis=1) - 1
         classes = first.sum(axis=1)[:, None]
         g = np.empty_like(order)
         np.put_along_axis(g, order, rank, axis=1)
-        rep = np.full((rows, n + 1), -1)
+        rep = np.full((count, width + 1), -1)
         rr, cc = np.nonzero(first)
         rep[rr, rank[rr, cc]] = order[rr, cc]
 
-        ea, eb = self.ea, self.eb
-        at_a, at_b = same[:, ea], same[:, eb]
-        free = ~(at_a | at_b)
-        incident = ~free
-        g_lo, g_hi = np.minimum(g[:, ea], g[:, eb]), np.maximum(g[:, ea], g[:, eb])
-        flip = lower[:, ea] != lower[:, eb]
-        other = np.where(at_a, eb, ea)
+        # edge j runs from vertex j to vertex eb[j]
+        eb, edge = self._per_row(self.eb, cr), self._per_row(self.edge, cr)
+        at_b = np.take_along_axis(same, eb, axis=1)
+        free = edge & ~(same | at_b)
+        incident = edge & (same | at_b)
+        g_b = np.take_along_axis(g, eb, axis=1)
+        g_lo, g_hi = np.minimum(g, g_b), np.maximum(g, g_b)
+        flip = lower != np.take_along_axis(lower, eb, axis=1)
+        other = np.where(same, eb, np.arange(width))
         g_o = np.take_along_axis(g, other, axis=1)
         low_o = np.take_along_axis(lower, other, axis=1)
         run, wrap = free & ~flip, free & flip
         straddles = np.cumsum(
-            _tally(rows, n + 1,
+            _tally(count, width + 1,
                    (g_lo, 1, run), (g_hi, -1, run),
                    (0, 1, wrap), (g_lo, -1, wrap), (g_hi, 1, wrap), (classes, -1, wrap)),
             axis=1,
-        )[:, :n]
+        )[:, :width]
         # incident edges whose other end lies on the left
         left_ends = np.cumsum(
-            _tally(rows, n + 1,
+            _tally(count, width + 1,
                    (0, 1, incident & ~low_o), (g_o, -1, incident & ~low_o),
                    (g_o, 1, incident & low_o), (classes, -1, incident & low_o)),
             axis=1,
-        )[:, :n]
+        )[:, :width]
         degree = incident.sum(axis=1)[:, None]
         occurrences = same.sum(axis=1)[:, None]
         # event k: its class and the pivot are zeros; edges counted in
         # `straddles` with an end in class k stop being strict crossings, and
         # each edge with both ends on the line joins two zeros into one run
         along = free & (g_lo == g_hi)
-        event_fix = _tally(rows, n,
+        event_fix = _tally(count, width,
                            (g_lo, -1, run & (g_lo < g_hi)), (g_hi, -1, wrap & (g_lo < g_hi)),
                            (g_lo, -1, along), (g_lo, -1, along & flip), (g_o, -1, incident))
-        class_size = _tally(rows, n, (g, 1, ~same))
+        class_size = _tally(count, width, (g, 1, ~out))
 
         scores = np.stack(
             [
@@ -381,31 +438,41 @@ class _Sweep:
             ],
             axis=2,
         )
-        scores[np.arange(n)[None, :] >= classes] = -1
+        scores[np.arange(width)[None, :] >= classes] = -1
         return scores, rep
 
-    def scored_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(pivots, scores, first vertex of every direction class) per chunk."""
-        step = max(1, _SWEEP_ENTRIES // len(self.pts))
-        for start in range(0, len(self.pivots), step):
-            piv = self.pivots[start : start + step]
-            yield (piv, *self._chunk(piv))
+    def scored_chunks(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """(rows, scores, first vertex of every direction class) per chunk
+        of about _SWEEP_ENTRIES row × column entries."""
+        step = max(1, _SWEEP_ENTRIES // self.pid.shape[1])
+        for start in range(0, len(self.row_curve), step):
+            rows = slice(start, min(start + step, len(self.row_curve)))
+            yield (rows, *self._chunk(rows))
+
+    def curves(self, rows: slice) -> Iterator[tuple[int, slice]]:
+        """Each curve with rows in the chunk `rows`, and its part of the chunk."""
+        for curve in range(self.row_curve[rows.start], self.row_curve[rows.stop - 1] + 1):
+            lo = max(self.row_start[curve], rows.start)
+            hi = min(self.row_start[curve + 1], rows.stop)
+            yield curve, slice(lo - rows.start, hi - rows.start)
 
     def replay(
-        self, piv: np.ndarray, scores: np.ndarray, rep: np.ndarray, flat: int
+        self, rows: slice, scores: np.ndarray, rep: np.ndarray, flat: int
     ) -> MultiplicityReport:
         """Exact report of a rational witness line of the candidate at index
         `flat` of a chunk's scores."""
         row, k, kind = np.unravel_index(flat, scores.shape)
-        score, pivot, a, b = int(scores[row, k, kind]), int(piv[row]), rep[row, k], rep[row, k + 1]
-        verts = self.poly.vertices
+        curve, pivot = int(self.row_curve[rows.start + row]), int(self.row_pivot[rows.start + row])
+        score, a, b = int(scores[row, k, kind]), rep[row, k], rep[row, k + 1]
+        poly = self.polys[curve]
+        verts = poly.vertices
         p = verts[pivot]
         if kind == _EVENT:
-            return line_multiplicity(Line.from_points(p, verts[a]), self.poly, METHOD_SWEEP)
+            return line_multiplicity(Line.from_points(p, verts[a]), poly, METHOD_SWEEP)
         # a direction strictly inside the interval: a positive combination of its ends
-        ax, ay = self._direction(pivot, a)
+        ax, ay = self._direction(curve, pivot, a)
         if b >= 0:
-            bx, by = self._direction(pivot, b)
+            bx, by = self._direction(curve, pivot, b)
             wx, wy = ax + bx, ay + by
         elif ay > 0:
             wx, wy = ax - abs(ax) - ay, ay
@@ -414,13 +481,14 @@ class _Sweep:
         nx, ny = -wy, wx  # n·(v - p) = cross(w, v - p): positive on the left
         c = nx * p.x + ny * p.y
         if kind == _THROUGH:
-            return line_multiplicity(Line(nx, ny, c), self.poly, METHOD_SWEEP)
-        gap = min(abs(nx * v.x + ny * v.y - c) for v in (verts[i] for i in self.pivots) if v != p)
+            return line_multiplicity(Line(nx, ny, c), poly, METHOD_SWEEP)
+        pivots = self.row_pivot[self.row_start[curve] : self.row_start[curve + 1]]
+        gap = min(abs(nx * v.x + ny * v.y - c) for v in (verts[i] for i in pivots) if v != p)
         side = 1 if kind == _LEFT else -1
         for tries in range(1, _GENERIC_TRIES + 1):
             line = Line(nx, ny, c - side * gap / 2**tries)
-            report = line_multiplicity(line, self.poly, METHOD_SWEEP)
-            if report.count == score or not _accidental(report, self.poly):
+            report = line_multiplicity(line, poly, METHOD_SWEEP)
+            if report.count == score or not _accidental(report, poly):
                 return report
         raise VerificationError("no witness line avoids the curve's self-intersections")
 
@@ -447,19 +515,55 @@ def _replay_descending(
     return best
 
 
-def _sweep_best(poly: Polyline, enough: float) -> MultiplicityReport:
-    """The best exact replay of the rotational sweep, chunk by chunk, cut
-    short once a count reaches `enough`."""
-    sweep = _Sweep(poly)
-    best: MultiplicityReport | None = None
-    for piv, scores, rep in sweep.scored_chunks():
-        best = _replay_descending(
-            scores, lambda flat: sweep.replay(piv, scores, rep, flat), best, enough
-        )
-        if best.count >= enough:
+def _sweep_best(
+    polys: Sequence[Polyline], enough: float, floor: int = 0
+) -> list[MultiplicityReport | None]:
+    """Per polyline, the best exact replay of one rotational sweep of the
+    batch, chunk by chunk, cut short once a count reaches `enough`.  A
+    polyline whose scores all stay at or below `floor` is not replayed
+    (None): its scores already bound every line's count by `floor`."""
+    sweep = _Sweep(polys)
+    best: list[MultiplicityReport | None] = [None] * len(polys)
+    for rows, scores, rep in sweep.scored_chunks():
+        for curve, part in sweep.curves(rows):
+            found, mine = best[curve], scores[part]
+            if (found is not None and found.count >= enough) or mine.max() <= floor:
+                continue
+            offset = part.start * scores[0].size
+            best[curve] = _replay_descending(
+                mine, lambda flat: sweep.replay(rows, scores, rep, offset + flat), found, enough
+            )
+        if all(found is not None and found.count >= enough for found in best):
             break
-    assert best is not None
     return best
+
+
+def _batches(polys: Sequence[Polyline]) -> Iterator[list[int]]:
+    """Indices of the polylines, by vertex count, in batches of at most
+    _SWEEP_ENTRIES padded row × column entries (a larger polyline alone)."""
+    batch: list[int] = []
+    rows = 0
+    for i in sorted(range(len(polys)), key=lambda i: len(polys[i].vertices)):
+        n = len(polys[i].vertices)
+        if batch and (rows + n) * n > _SWEEP_ENTRIES:
+            yield batch
+            batch, rows = [], 0
+        batch.append(i)
+        rows += n
+    if batch:
+        yield batch
+
+
+def _exceeds(polys: Sequence[Polyline], r: int) -> list[bool]:
+    """Whether some line meets each polyline more than r times, decided in
+    batched sweeps.  A polyline whose scores all stay at or below r needs no
+    replay; otherwise it exceeds r exactly when an exact replay reaches
+    r + 1."""
+    over = [False] * len(polys)
+    for batch in _batches(polys):
+        for i, report in zip(batch, _sweep_best([polys[i] for i in batch], r + 1, r)):
+            over[i] = report is not None and report.count > r
+    return over
 
 
 def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
@@ -467,7 +571,7 @@ def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
 
     Coordinates must lie within ±2^500.
     """
-    return _sweep_best(poly, math.inf)
+    return _sweep_best([poly], math.inf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +646,7 @@ def _screened_lines(poly: Polyline, trials: int, seed: int) -> tuple[np.ndarray,
     is projected once, and stays in cache, for both its offsets and its
     signs."""
     rng = np.random.default_rng(seed)
-    pts = _float_points(poly)
+    pts = _float_points(poly.vertices)
     lines = np.empty((trials, 3))
     counts = np.empty(trials, dtype=np.int64)
     step = max(1, _SCREEN_ENTRIES // len(pts))
@@ -670,7 +774,7 @@ def find_stabbing_line(
             f"bound not exceeded: length {polyline_length(poly):.9g} <= s = {threshold:.9g}"
         )
     _require_inside(poly, body)
-    report = _sweep_best(poly, r + 1)
+    report = _sweep_best([poly], r + 1)[0]
     if report.count >= r + 1:
         return report.witness, report
     raise VerificationError(

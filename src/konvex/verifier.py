@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .geometry import (
 from .random_shapes import random_star_ring, random_walk_polyline
 from .stabbing import (
     MultiplicityReport,
+    _SWEEP_ENTRIES,
+    _exceeds,
     find_stabbing_line,
     max_line_multiplicity,
 )
@@ -91,6 +94,9 @@ def falsify(body: ConvexPolygon, r: int, trials: int, seed: int = 0) -> BoundRep
     measured multiplicity stays within r but whose length exceeds s is
     recorded as a violation (none are expected: a violation would indicate
     an implementation bug, so it is reported data rather than an error).
+    The curves are swept in batches, which decide exactly whether some line
+    meets a curve more than r times; a violation records the curve's exact
+    maximum multiplicity.
     """
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
@@ -102,8 +108,40 @@ def falsify(body: ConvexPolygon, r: int, trials: int, seed: int = 0) -> BoundRep
     violations: list[dict] = []
     by_generator: dict[str, int] = {}
 
-    builder_slots = {trials // 3, (2 * trials) // 3} if trials >= 50 else set()
+    for block in _trial_blocks(body, r, trials, seed):
+        over = _exceeds([curve for _, _, curve in block], r)
+        for (t, kind, curve), exceeds in zip(block, over):
+            by_generator[kind] = by_generator.get(kind, 0) + 1
+            if exceeds:
+                continue
+            qualifying += 1
+            ratio = polyline_length(curve) / threshold
+            max_ratio = max(max_ratio, ratio)
+            if ratio > 1.0:
+                count = max_line_multiplicity(curve).count
+                violations.append(
+                    {"trial": t, "generator": kind, "ratio": ratio, "count": count}
+                )
 
+    evidence = {
+        "trials": trials,
+        "qualifying": qualifying,
+        "max_ratio": max_ratio,
+        "violations": violations,
+        "generators": by_generator,
+        "seed": seed,
+    }
+    return _report_base(body, r, SIDE_FALSIFICATION, evidence)
+
+
+def _trial_blocks(
+    body: ConvexPolygon, r: int, trials: int, seed: int
+) -> Iterator[list[tuple[int, str, Polyline]]]:
+    """falsify's (trial, generator, curve) triples in trial order, in blocks
+    of about _SWEEP_ENTRIES vertex pairs."""
+    builder_slots = {trials // 3, (2 * trials) // 3} if trials >= 50 else set()
+    block: list[tuple[int, str, Polyline]] = []
+    entries = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         if t in builder_slots:
@@ -125,27 +163,13 @@ def falsify(body: ConvexPolygon, r: int, trials: int, seed: int = 0) -> BoundRep
                 curve = random_star_ring(
                     rng, body, n_vertices=int(rng.integers(6, 13)), spiky=False
                 )
-        by_generator[kind] = by_generator.get(kind, 0) + 1
-        count = max_line_multiplicity(curve).count
-        if count > r:
-            continue
-        qualifying += 1
-        ratio = polyline_length(curve) / threshold
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0:
-            violations.append(
-                {"trial": t, "generator": kind, "ratio": ratio, "count": count}
-            )
-
-    evidence = {
-        "trials": trials,
-        "qualifying": qualifying,
-        "max_ratio": max_ratio,
-        "violations": violations,
-        "generators": by_generator,
-        "seed": seed,
-    }
-    return _report_base(body, r, SIDE_FALSIFICATION, evidence)
+        block.append((t, kind, curve))
+        entries += len(curve) ** 2
+        if entries >= _SWEEP_ENTRIES:
+            yield block
+            block, entries = [], 0
+    if block:
+        yield block
 
 
 def _walk_curve(rng: np.random.Generator, body: ConvexPolygon) -> Polyline:

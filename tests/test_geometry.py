@@ -302,6 +302,24 @@ class TestContains:
         assert contains(SQUARE, Point(3, 0)) == EXTERIOR
 
 
+def exact_hull(points: list[Point]) -> tuple[Point, ...]:
+    """Monotone chain over the exact (x, y) order, deduplicated by set()."""
+    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+
+    def half(chain_pts):
+        chain = []
+        for p in chain_pts:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    ring = half(pts)[:-1] + half(pts[::-1])[:-1]
+    if len(ring) < 3:
+        raise DegeneracyError("degenerate")
+    return tuple(ring)
+
+
 class TestConvexHull:
     def test_square_with_center(self):
         pts = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1), Point("0.5", "0.5")]
@@ -311,6 +329,26 @@ class TestConvexHull:
     def test_collinear_midpoint_dropped(self):
         hull = convex_hull([Point(0, 0), Point(1, 0), Point(2, 0), Point(1, 1)])
         assert set(hull.ring) == {Point(0, 0), Point(2, 0), Point(1, 1)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2),
+                              st.integers(-2, 2)), min_size=3, max_size=25))
+    def test_float_keyed_sort_gives_the_exact_hull(self, raw):
+        # offsets of 1e-30 tie the float views of distinct coordinates
+        tiny = Fraction(1, 10**30)
+        pts = [Point(a + b * tiny, c + d * tiny) for a, b, c, d in raw]
+        try:
+            expected = exact_hull(pts)
+        except DegeneracyError:
+            with pytest.raises(DegeneracyError):
+                convex_hull(pts)
+        else:
+            assert convex_hull(pts).ring == expected
+
+    def test_coordinates_beyond_double_range(self):
+        big = Fraction(10**400)
+        pts = [Point(0, 0), Point(big, 0), Point(big, 1), Point(0, 1), Point(big, 0), Point(1, 1)]
+        assert convex_hull(pts).ring == exact_hull(pts)
 
     def test_all_collinear_raises(self):
         with pytest.raises(DegeneracyError):
@@ -363,6 +401,23 @@ class TestLine:
         line = Line.from_points(Point(0, 0), Point(3, 4))
         nx, ny, _ = line.unit()
         assert abs(nx * nx + ny * ny - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "coefs, expected",
+        [
+            (("1e200", "1e200", "1e199"), (0.5**0.5, 0.5**0.5, 0.1 * 0.5**0.5)),
+            (("1e400", "1e200", "1e199"), (1.0, 1e-200, 1e-201)),
+            (("-1e-200", "0", "1e-200"), (-1.0, 0.0, 1.0)),
+            (("3", "-4", "10"), (0.6, -0.8, 2.0)),
+        ],
+        ids=["huge", "beyond-double", "tiny", "plain"],
+    )
+    def test_unit_scales_exactly_first(self, coefs, expected):
+        assert Line(*coefs).unit() == pytest.approx(expected, rel=1e-15)
+
+    def test_unit_offset_beyond_double_range(self):
+        with pytest.raises(PreconditionError):
+            Line("1e-200", "1e-200", "1e200").unit()
 
     def test_from_direction_offset(self):
         line = Line.from_direction_offset(0.0, 0.25)

@@ -180,6 +180,16 @@ class TestCli:
         assert main(["svg", str(scene_path), "--out", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("nx", ["1e200", "1e400"])
+    def test_svg_line_with_huge_coefficients(self, tmp_path, square_file, capsys, nx):
+        # the squared normal lies beyond double range
+        line = {"nx": nx, "ny": "1e200", "c": "1e199"}
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({"body": square_file, "lines": [line]}))
+        out = tmp_path / "fig.svg"
+        assert main(["svg", str(scene_path), "--out", str(out)]) == 0
+        assert "<line " in out.read_text()
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense\n")

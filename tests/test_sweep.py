@@ -1,9 +1,11 @@
 """The rotational sweep of max_line_multiplicity against an exact brute
 force over the whole line arrangement, its candidate scores against the
-sign-vector formula, its float filter on near-degenerate and large inputs,
-and its invariance under exact similarity motions; the random oracle's
-screen counts against exact signs."""
+sign-vector formula, a batched sweep against sweeps of one curve each, its
+float filter on near-degenerate and large inputs, and its invariance under
+exact similarity motions; the random oracle's screen counts against exact
+signs."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -164,10 +166,10 @@ class TestScores:
             random_walk_polyline(rng, SQUARE, 6),
             grid_polyline(rng, 3, 6, closed=bool(seed % 2)),
         ):
-            sweep = stabbing._Sweep(poly)
-            for piv, scores, rep in sweep.scored_chunks():
+            sweep = stabbing._Sweep([poly])
+            for rows, scores, rep in sweep.scored_chunks():
                 for flat in np.flatnonzero(scores >= 0):
-                    report = sweep.replay(piv, scores, rep, int(flat))
+                    report = sweep.replay(rows, scores, rep, int(flat))
                     signs = np.array([[report.witness.side_of(v) for v in poly.vertices]], np.int8)
                     assert stabbing._count_from_signs(signs, poly.closed)[0] == scores.flat[flat]
                     assert report.count <= scores.flat[flat]
@@ -178,6 +180,103 @@ class TestScores:
         monkeypatch.setattr(stabbing, "_SWEEP_ENTRIES", 1)  # one pivot per chunk
         chunked = max_line_multiplicity(poly)
         assert (chunked.count, chunked.witness) == (whole.count, whole.witness)
+
+
+def per_curve(sweep: stabbing._Sweep) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each curve's rows of the scores and of the class representatives,
+    gathered over all chunks."""
+    parts = defaultdict(list)
+    for rows, scores, rep in sweep.scored_chunks():
+        for curve, part in sweep.curves(rows):
+            parts[curve].append((scores[part], rep[part]))
+    return [
+        (np.concatenate([s for s, _ in parts[c]]), np.concatenate([r for _, r in parts[c]]))
+        for c in range(len(sweep.polys))
+    ]
+
+
+# coordinates on a small integer grid (repeated and exactly collinear
+# vertices, whose float angles tie), scaled towards the sweep's 2^500 bound
+# or down to 1e-300, where rounding leaves most angles to `_resolve`
+_SCALES = [Fraction(1), Fraction(2) ** 497, Fraction(1, 10**300), Fraction(3, 7)]
+
+
+@st.composite
+def batch_curves(draw, size: int = 40) -> Polyline:
+    n = draw(st.integers(2, size))
+    side = draw(st.integers(2, 8))
+    raw = draw(st.lists(st.tuples(st.integers(0, side - 1), st.integers(0, side - 1)),
+                        min_size=n, max_size=n))
+    verts = [v for i, v in enumerate(raw) if i == 0 or v != raw[i - 1]]
+    if len(verts) < 2:
+        verts.append((verts[0][0] + 1, verts[0][1]))
+    if draw(st.booleans()):  # retrace the walk back to its start
+        verts = (verts + verts[-2::-1])[:size]
+    closed = len(verts) >= 3 and verts[0] != verts[-1] and draw(st.booleans())
+    scale = draw(st.sampled_from(_SCALES))
+    return Polyline(tuple(Point(x * scale, y * scale) for x, y in verts), closed)
+
+
+class TestBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(batch_curves(), min_size=1, max_size=6))
+    def test_batch_equals_sweeps_of_one(self, polys):
+        batch = per_curve(stabbing._Sweep(polys))
+        for poly, (scores, rep) in zip(polys, batch):
+            [(alone_scores, alone_rep)] = per_curve(stabbing._Sweep([poly]))
+            n = len(poly.vertices)
+            assert np.array_equal(scores[:, :n], alone_scores)
+            assert np.all(scores[:, n:] == -1)
+            assert np.array_equal(rep[:, : n + 1], alone_rep)
+            assert np.all(rep[:, n + 1 :] == -1)
+
+    # replay walks every candidate of a retraced curve (its overlapping
+    # edges inflate the top scores), so these curves stay small
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(batch_curves(12), min_size=1, max_size=5))
+    def test_batch_replays_and_decisions(self, polys):
+        alone = [max_line_multiplicity(poly) for poly in polys]
+        best = stabbing._sweep_best(polys, float("inf"))
+        assert [(b.count, b.witness) for b in best] == [(a.count, a.witness) for a in alone]
+        for r in range(2, 6):
+            assert stabbing._exceeds(polys, r) == [a.count > r for a in alone]
+
+    @pytest.mark.parametrize("entries", [1, 30, 200])
+    def test_chunks_across_curves(self, monkeypatch, entries):
+        rng = np.random.default_rng([46, entries])
+        polys = [random_walk_polyline(rng, SQUARE, int(rng.integers(2, 12))) for _ in range(6)]
+        polys += [grid_polyline(rng, 4, 9, closed=True), random_star_ring(rng, SQUARE, 10)]
+        # retraced edges lift its top score above its count of 2
+        polys.append(Polyline(points((0, 2), (2, 0), (0, 2), (1, 1), (0, 0))))
+        alone = [max_line_multiplicity(poly) for poly in polys]
+        whole = per_curve(stabbing._Sweep(polys))
+        monkeypatch.setattr(stabbing, "_SWEEP_ENTRIES", entries)
+        chunked = per_curve(stabbing._Sweep(polys))
+        for (s, rep), (s2, rep2) in zip(whole, chunked):
+            assert np.array_equal(s, s2) and np.array_equal(rep, rep2)
+        best = stabbing._sweep_best(polys, float("inf"))
+        assert [(b.count, b.witness) for b in best] == [(a.count, a.witness) for a in alone]
+        for r in (2, 3, 4):
+            assert stabbing._exceeds(polys, r) == [a.count > r for a in alone]
+
+    def test_batches_by_vertex_count(self, monkeypatch):
+        sizes = [5, 3, 9, 3, 30, 4]
+        polys = [Polyline(tuple(Point(i, i * i % 7) for i in range(n))) for n in sizes]
+        monkeypatch.setattr(stabbing, "_SWEEP_ENTRIES", 200)
+        # rows x width: (3 + 3 + 4 + 5) x 5 = 75, then 9 x 9 = 81, and 30 x 30 alone
+        assert list(stabbing._batches(polys)) == [[1, 3, 5, 0], [2], [4]]
+
+
+class TestRanks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), min_size=1, max_size=30))
+    def test_equal_float_views_are_ranked_exactly(self, raw):
+        # a + b·1e-30 rounds to the float view of a whatever b is
+        values = [a + Fraction(b, 10**30) for a, b in raw]
+        views = np.array([float(v) for v in values])
+        ranks = stabbing._ranks(values, views)
+        distinct = sorted(set(values))
+        assert ranks.tolist() == [distinct.index(v) for v in values]
 
 
 def exact_counts(poly: Polyline, lines: np.ndarray) -> np.ndarray:
@@ -225,7 +324,7 @@ class TestOracleScreen:
         rng = np.random.default_rng([45, seed])
         poly = grid_polyline(rng, 5, 12, closed=bool(seed % 2))
         lines = lines_through_vertices(poly, rng, 40)
-        pts = stabbing._float_points(poly)
+        pts = stabbing._float_points(poly.vertices)
         proj = lines[:, :1] * pts[None, :, 0] + lines[:, 1:2] * pts[None, :, 1]
         assert np.array_equal(stabbing._screen(poly, pts, lines, proj), exact_counts(poly, lines))
 

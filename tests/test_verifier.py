@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import pytest
 
-from konvex import geometry
+from konvex import geometry, verifier
 from konvex.builder import ConstructionParams, build_curve
+from konvex.cli import main
 from konvex.errors import NotSimpleError, PreconditionError
 from konvex.geometry import ConvexPolygon, Point, Polyline, diameter, perimeter
 from konvex.random_shapes import random_convex_polygon, random_star_ring
+from konvex.stabbing import max_line_multiplicity
 from konvex.verifier import (
     BoundReport,
     check_upper_bound,
@@ -120,6 +123,70 @@ class TestFalsify:
     def test_rejects_zero_trials(self):
         with pytest.raises(PreconditionError):
             falsify(SQUARE, 2, trials=0, seed=1)
+
+
+def per_trial_evidence(blocks, r: int, threshold: float, length) -> dict:
+    """falsify's evidence from one exact maximum per trial curve."""
+    ev = {"qualifying": 0, "max_ratio": 0.0, "violations": [], "generators": {}}
+    for block in blocks:
+        for t, kind, curve in block:
+            ev["generators"][kind] = ev["generators"].get(kind, 0) + 1
+            count = max_line_multiplicity(curve).count
+            if count > r:
+                continue
+            ev["qualifying"] += 1
+            ratio = length(curve) / threshold
+            ev["max_ratio"] = max(ev["max_ratio"], ratio)
+            if ratio > 1.0:
+                ev["violations"].append(
+                    {"trial": t, "generator": kind, "ratio": ratio, "count": count}
+                )
+    return ev
+
+
+class TestFalsifyDecision:
+    """The batched sweep's decisions against an exact maximum per curve, on
+    60 trials, which include the two builder curves."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_evidence_matches_a_per_trial_maximum(self, monkeypatch, r):
+        blocks = list(verifier._trial_blocks(SQUARE, r, 60, 40 + r))
+        assert "builder" in [kind for block in blocks for _, kind, _ in block]
+        monkeypatch.setattr(verifier, "_trial_blocks", lambda *args: iter(blocks))
+        ev = falsify(SQUARE, r, trials=60, seed=40 + r).evidence
+        expected = per_trial_evidence(blocks, r, s_bound(SQUARE, r), geometry.polyline_length)
+        assert {key: ev[key] for key in expected} == expected
+        assert list(ev["generators"]) == list(expected["generators"])
+
+    def test_violation_records_carry_the_exact_maximum(self, monkeypatch):
+        # lengths inflated tenfold turn every qualifying curve into a violation
+        blocks = list(verifier._trial_blocks(SQUARE, 3, 40, 11))
+        monkeypatch.setattr(verifier, "_trial_blocks", lambda *args: iter(blocks))
+        monkeypatch.setattr(verifier, "polyline_length", lambda c: 10 * geometry.polyline_length(c))
+        ev = falsify(SQUARE, 3, trials=40, seed=11).evidence
+        expected = per_trial_evidence(blocks, 3, s_bound(SQUARE, 3), verifier.polyline_length)
+        assert ev["violations"] and ev["violations"] == expected["violations"]
+        assert ev["qualifying"] == expected["qualifying"] == len(ev["violations"])
+
+
+class TestPinnedFalsify:
+    """sha256 of `konvex falsify <unit square> r --json`: the benchmark's
+    first seed at r = 3 and r = 5, and a run with builder curves."""
+
+    @pytest.mark.parametrize(
+        "r, trials, seed, digest",
+        [
+            (3, 40, 508, "0f76cb1b56562d31179ed7dfa3ece71427f49f4f754e5c49e0fe1aaa633c24b9"),
+            (5, 40, 510, "19627584d4d9a0b7281cce93800f18e084a32d334d9bb802c7d967338ec324cf"),
+            (3, 60, 508, "14bc56898966d5ad193e8ebe484d77116b536c2cb0be934e3739a995876a4faf"),
+        ],
+    )
+    def test_json_bytes(self, tmp_path, capsys, r, trials, seed, digest):
+        square = tmp_path / "square.txt"
+        square.write_text("0 0\n1 0\n1 1\n0 1\n")
+        argv = ["falsify", str(square), str(r), "--trials", str(trials), "--seed", str(seed)]
+        assert main(argv + ["--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestProp1:
