@@ -233,13 +233,6 @@ def _inset_ring(
     raise DegeneracyError("could not build a strictly convex inset ring")
 
 
-def inset_loop(body: ConvexPolygon, depth: float, m: int, seed: int = 0) -> Polyline:
-    """Closed strictly convex loop sampled just inside the body's boundary."""
-    rng = np.random.default_rng(seed)
-    ring = _inset_ring(body, depth, m, rng)
-    return ring.as_polyline()
-
-
 def _arc_walk(
     ring: ConvexPolygon, start_idx: int, arc_budget: float, direction: int = 1
 ) -> list[int]:
@@ -312,26 +305,6 @@ def _no_three_collinear(points: list[Point]) -> bool:
                 if orientation(points[i], points[j], points[k]) == 0:
                     return False
     return True
-
-
-def diameter_chord_arc(inner: ConvexPolygon, bow: float, m: int) -> Polyline:
-    """Open bowed arc spanning the diameter pair of the inner body.
-
-    The bump points toward the centroid; all vertices stay strictly inside
-    the body (except the endpoints, which are its diameter vertices) and no
-    three vertices are collinear.
-    """
-    if bow <= 0:
-        raise PreconditionError("bow must be positive")
-    _, a, b = diameter(inner)
-    cx, cy = inner.centroid()
-    pts = _bowed_arc(a, b, snap_point(cx, cy), bow, m)
-    for p in pts[1:-1]:
-        if contains(inner, p) != INTERIOR:
-            raise DegeneracyError("bow too large: arc leaves the body")
-    if not _no_three_collinear(pts):
-        raise DegeneracyError("arc degenerated to collinear samples")
-    return Polyline(tuple(pts))
 
 
 def _chain_loops(

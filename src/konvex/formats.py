@@ -17,7 +17,6 @@ from typing import Iterable
 from .builder import ConstructionParams, ConstructionResult
 from .errors import ParseError, PreconditionError
 from .geometry import ConvexPolygon, Line, Point, Polyline
-from .projections import ProjectionProfile
 from .stabbing import Component, MultiplicityReport
 from .verifier import BoundReport, Prop1Result
 
@@ -205,9 +204,3 @@ def _jsonable(value):
 
 def to_json(value, indent: int | None = 2) -> str:
     return json.dumps(_jsonable(value), indent=indent, sort_keys=True)
-
-
-def profile_to_csv(profile: ProjectionProfile) -> str:
-    rows = ["alpha,value"]
-    rows += [f"{alpha!r},{value!r}" for alpha, value in profile.evaluations]
-    return "\n".join(rows) + "\n"

@@ -249,6 +249,8 @@ class ConvexPolygon:
             area += t
             ax += t * (x0 + x1 + x2)
             ay += t * (y0 + y1 + y2)
+        if not (0.0 < area < math.inf and math.isfinite(ax) and math.isfinite(ay)):
+            raise DegeneracyError("polygon area underflows or overflows double precision")
         return (ax / (3.0 * area), ay / (3.0 * area))
 
     def float_ring(self) -> list[tuple[float, float]]:

@@ -6,9 +6,11 @@ length onto the direction-alpha line is
     l(alpha) = sum_i l_i * |cos(alpha - a_i)|,
 
 and for a convex polygon k(alpha) is the width of its projection.  Since
-each |cos| integrates to 4 over a full turn, integrating these profiles
-recovers 4 * total length and 2 * perimeter respectively; the quadrature
-modes here exist to check exactly that against the closed forms.
+each |cos| integrates to 4 over a full turn, integrating l and k recovers
+4 * total length and 2 * perimeter respectively; the quadrature modes here
+exist to check exactly that against the closed forms.  `segment_data` and
+`chord_term` also supply the (weight, angle) terms from which
+`stabbing.projection_witness` maximizes the proof's margin in closed form.
 """
 
 from __future__ import annotations
@@ -123,40 +125,3 @@ def chord_term(poly: Polyline) -> ChordTerm:
     if l0 == 0.0:
         return ChordTerm(0.0, 0.0)
     return ChordTerm(l0, chord.angle())
-
-
-@dataclass(frozen=True)
-class ProjectionProfile:
-    """Sampled direction profile of a polyline (l) or polygon width (k)."""
-
-    kind: str  # "polyline" or "polygon"
-    evaluations: tuple[tuple[float, float], ...]  # (alpha, value), sorted by alpha
-    closed_form_integral: float
-
-    def __post_init__(self):
-        values = [v for _, v in self.evaluations]
-        if any(v < 0 for v in values):
-            raise PreconditionError("profile values must be nonnegative")
-        alphas = [a for a, _ in self.evaluations]
-        if alphas != sorted(alphas):
-            raise PreconditionError("profile evaluations must be sorted by angle")
-
-
-def polyline_profile(poly: Polyline, samples: int = 360) -> ProjectionProfile:
-    alphas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    values = projection_length_samples(poly, alphas)
-    return ProjectionProfile(
-        "polyline",
-        tuple(zip(alphas.tolist(), values.tolist())),
-        4.0 * polyline_length(poly),
-    )
-
-
-def polygon_width_profile(polygon: ConvexPolygon, samples: int = 360) -> ProjectionProfile:
-    alphas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    values = width_samples(polygon, alphas)
-    return ProjectionProfile(
-        "polygon",
-        tuple(zip(alphas.tolist(), values.tolist())),
-        2.0 * perimeter(polygon),
-    )

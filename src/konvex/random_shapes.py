@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, PreconditionError
 from .geometry import (
     LEFT,
     RIGHT,
@@ -133,20 +133,28 @@ def uniform_point_in_polygon(seed_or_rng, polygon: ConvexPolygon) -> tuple[float
 def random_walk_polyline(
     seed_or_rng, polygon: ConvexPolygon, n_segments: int, closed: bool = False
 ) -> Polyline:
-    """Chain of uniform interior points; stays inside by convexity."""
+    """Chain of uniform interior points; stays inside by convexity.
+
+    A snapped point equal to its predecessor (or, closing a ring, to the
+    first vertex) is redrawn, at most 64 times in a row.
+    """
+    if closed and n_segments < 3:
+        raise PreconditionError("a closed walk needs at least 3 segments")
     rng = _rng(seed_or_rng)
     verts: list[Point] = []
     while len(verts) < n_segments + 1:
-        p = snap_point(*uniform_point_in_polygon(rng, polygon))
-        if verts and p == verts[-1]:
-            continue
-        if closed and len(verts) == n_segments and p == verts[0]:
-            continue
+        for _ in range(64):
+            p = snap_point(*uniform_point_in_polygon(rng, polygon))
+            if verts and p == verts[-1]:
+                continue
+            if closed and len(verts) == n_segments and p == verts[0]:
+                continue
+            break
+        else:
+            raise DegeneracyError("could not draw a new walk vertex on the 1e-9 grid")
         verts.append(p)
     if closed:
         verts = verts[:-1]
-        if len(verts) < 3:
-            return random_walk_polyline(rng, polygon, n_segments, closed)
     return Polyline(tuple(verts), closed=closed)
 
 

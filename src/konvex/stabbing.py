@@ -37,8 +37,11 @@ beat the best exact count, so screening never changes a reported number.
 
 `find_stabbing_line` runs the same sweep and replay but stops at the first
 candidate whose exact count reaches r + 1, so the constructive direction of
-the theorem rests on the exact algorithm alone.  `projection_witness`, the
-proof's pigeonhole angle, stays public but chooses no stabbing line.
+the theorem rests on the exact algorithm alone.  `projection_witness` is
+the proof's pigeonhole angle in closed form: the margin of the curve's
+projected length over r times the body's width is a sum of weighted
+|cos(α - β)| terms, a single sinusoid between consecutive sign changes, so
+one sort gives its exact maximum.  It chooses no stabbing line.
 
 The sweep scores a batch of curves at once: a row is one curve and one of
 its pivots, and vertex columns are padded to the batch's largest curve.
@@ -74,7 +77,7 @@ from .geometry import (
     polyline_length,
     s_bound,
 )
-from .projections import chord_term, projection_length_samples, width_samples
+from .projections import chord_term, segment_data
 
 # report provenance tags
 METHOD_DIRECT = "direct"
@@ -89,7 +92,6 @@ _SWEEP_ENTRIES = 1 << 18  # pivot-by-vertex entries per sweep chunk
 _GENERIC_TRIES = 8  # open-cell witness shifts tried before giving up
 _SCREEN_CHUNK = 8192  # random lines per generator draw: it fixes the oracle's random stream
 _SCREEN_ENTRIES = 1 << 15  # line-by-vertex entries per screened block
-_WITNESS_GRID = 4096  # angles in projection_witness's coarse search
 
 # sweep candidates for a pivot and its angular interval (or event) k
 _EVENT = 0  # the line through the pivot and the vertices of event k
@@ -692,65 +694,53 @@ def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityRe
 
 
 def projection_witness(poly: Polyline, r: int, body: ConvexPolygon) -> float | None:
-    """Angle at which the polyline's projected length pigeonholes a depth of
-    r + 1 over the body's projection.
+    """Angle in [0, π) at which the polyline's projected length pigeonholes a
+    depth of r + 1 over the body's projection.
 
-    For even r the target margin is l(a) - r·k(a); for odd r the endpoint
-    chord strengthens it to l(a) - (r-1)·k(a) - l0·|cos(a - a0)|.  Searches a
-    grid of 4096 angles and refines around the best grid point by golden
-    section; returns None when no strictly positive margin is found.
+    The margin is l(a) - r·k(a) for even r; for odd r the endpoint chord
+    strengthens it to l(a) - (r-1)·k(a) - l0·|cos(a - a0)|.  With
+    k(a) = ½ Σ lᵢ|cos(a - aᵢ)| over the body's edges, the margin is
+    Σ wⱼ|cos(a - βⱼ)|: the curve's segments weigh +lⱼ, the body's edges
+    -(r // 2)·lᵢ and an open curve's chord, at odd r, -l0.  Over a full turn
+    it integrates to 4L - 2rp, or to at least 4L - 2(r-1)p - 4d, so it is
+    positive somewhere once L > s.  Each term changes sign once in [0, π),
+    at βⱼ + π/2, so between consecutive sign changes the margin is
+    A cos a + B sin a.  On each piece it peaks at atan2(B, A) if that lies
+    inside, and otherwise at an end, which starts a piece too: one sort and
+    a prefix sum give the exact maximum.  Returns None unless that maximum
+    clears the rounding error of its evaluation.
     """
     if r < 2:
         raise PreconditionError("the multiplicity budget r must be at least 2")
     _require_inside(poly, body)
+    lengths, angles = segment_data(poly)
+    edge_lengths, edge_angles = segment_data(body.as_polyline())
+    weights = [lengths, -(r // 2) * edge_lengths]
+    betas = [angles, edge_angles]
+    if r % 2 and not poly.closed:
+        chord = chord_term(poly)
+        weights.append(np.array([-chord.l0]))
+        betas.append(np.array([chord.alpha0]))
+    w, beta = np.concatenate(weights), np.concatenate(betas)
 
-    alphas = np.linspace(0.0, 2.0 * math.pi, _WITNESS_GRID, endpoint=False)
-    l_vals = projection_length_samples(poly, alphas)
-    k_vals = width_samples(body, alphas)
-    if r % 2 == 0:
-        margins = l_vals - r * k_vals
-        chord = None
-    else:
-        chord = chord_term(poly) if not poly.closed else None
-        l0 = chord.l0 if chord else 0.0
-        a0 = chord.alpha0 if chord else 0.0
-        margins = l_vals - (r - 1) * k_vals - l0 * np.abs(np.cos(alphas - a0))
-
+    # |cos(a - β)| = ±(cos β cos a + sin β sin a), with + on [0, β + π/2)
+    # when β < π/2 and - on [0, β - π/2) otherwise; the sign flips at the break
+    breaks = (beta + math.pi / 2.0) % math.pi
+    order = np.argsort(breaks, kind="stable")
+    start = np.where(beta < math.pi / 2.0, w, -w)[:, None] * np.column_stack(
+        [np.cos(beta), np.sin(beta)]
+    )
+    flips = np.cumsum(2.0 * start[order], axis=0)
+    a, b = (start.sum(axis=0) - np.vstack([np.zeros(2), flips])).T
+    lo = np.concatenate([[0.0], breaks[order]])
+    hi = np.concatenate([breaks[order], [math.pi]])
+    alphas = np.concatenate([lo, np.clip(np.arctan2(b, a), lo, hi)])
+    margins = np.tile(a, 2) * np.cos(alphas) + np.tile(b, 2) * np.sin(alphas)
     best = int(np.argmax(margins))
-    h = 2.0 * math.pi / _WITNESS_GRID
-
-    def margin(alpha: float) -> float:
-        l = projection_length_samples(poly, np.array([alpha]))[0]
-        k = width_samples(body, np.array([alpha]))[0]
-        if r % 2 == 0:
-            return float(l - r * k)
-        l0 = chord.l0 if chord else 0.0
-        a0 = chord.alpha0 if chord else 0.0
-        return float(l - (r - 1) * k - l0 * abs(math.cos(alpha - a0)))
-
-    lo, hi = alphas[best] - h, alphas[best] + h
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = margin(x1), margin(x2)
-    for _ in range(72):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = margin(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = margin(x2)
-    alpha_star = (a + b) / 2.0
-    refined = margin(alpha_star)
-    grid_best = float(margins[best])
-    # floating-point noise floor: an exactly tight bound evaluates to ~1e-16
-    noise = 1e-12 * max(1.0, float(np.max(l_vals)))
-    if max(refined, grid_best) <= noise:
+    # the prefix sums and products err by a few ulps of Σ|w| per term
+    if not margins[best] > _FILTER * len(w) * float(np.abs(w).sum()):
         return None
-    return alpha_star if refined >= grid_best else float(alphas[best])
+    return float(alphas[best] % math.pi)
 
 
 def find_stabbing_line(

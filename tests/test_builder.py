@@ -1,14 +1,10 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from konvex.builder import (
-    ConstructionParams,
-    build_curve,
-    diameter_chord_arc,
-    inset_loop,
-)
+from konvex.builder import ConstructionParams, _bowed_arc, _check_arc, _inset_ring, build_curve
 from konvex.errors import ConstructionError, DegeneracyError, PreconditionError
 from konvex.formats import serialize_polyline, to_json
 from konvex.geometry import (
@@ -17,12 +13,14 @@ from konvex.geometry import (
     LEFT,
     ConvexPolygon,
     Point,
+    Polyline,
     contains,
     convex_hull,
     diameter,
     orientation,
     polyline_length,
 )
+from konvex.random_shapes import random_convex_polygon
 from konvex.stabbing import line_multiplicity, random_line_oracle
 from konvex.verifier import s_bound
 
@@ -37,9 +35,20 @@ def assert_strictly_convex_ring(poly):
         assert orientation(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) == LEFT
 
 
+def square_inset_ring(depth, m, seed):
+    """The square's inset ring at `depth`, as build_curve draws each loop."""
+    return _inset_ring(SQUARE, depth, m, np.random.default_rng(seed)).as_polyline()
+
+
+def diagonal_arc(bow, m):
+    """A bowed arc down the square's diameter chord, bulging toward (0, 1),
+    as build_curve's odd-r tail draws it."""
+    return Polyline(tuple(_bowed_arc(Point(0, 0), Point(1, 1), Point(0, 1), bow, m)))
+
+
 class TestInsetLoop:
     def test_square_depth_001(self):
-        loop = inset_loop(SQUARE, depth=0.01, m=64, seed=5)
+        loop = square_inset_ring(depth=0.01, m=64, seed=5)
         assert loop.closed
         assert 56 <= len(loop) <= 64
         assert_strictly_convex_ring(loop)
@@ -48,38 +57,38 @@ class TestInsetLoop:
             assert contains(SQUARE, v) == INTERIOR
 
     def test_perimeter_approaches_body_in_the_fine_limit(self):
-        loop = inset_loop(SQUARE, depth=1e-5, m=512, seed=2)
+        loop = square_inset_ring(depth=1e-5, m=512, seed=2)
         assert polyline_length(loop) >= 4 - 0.01
 
     def test_nesting_of_two_depths(self):
-        outer = inset_loop(SQUARE, depth=0.01, m=64, seed=3)
-        inner = inset_loop(SQUARE, depth=0.02, m=64, seed=4)
+        outer = square_inset_ring(depth=0.01, m=64, seed=3)
+        inner = square_inset_ring(depth=0.02, m=64, seed=4)
         hull = convex_hull(list(outer.vertices))
         for v in inner.vertices:
             assert contains(hull, v) == INTERIOR
 
     def test_depth_too_large(self):
         with pytest.raises(DegeneracyError):
-            inset_loop(SQUARE, depth=0.7, m=32, seed=1)
+            square_inset_ring(depth=0.7, m=32, seed=1)
 
     def test_rejects_nonpositive_depth(self):
         with pytest.raises(PreconditionError):
-            inset_loop(SQUARE, depth=0.0, m=32, seed=1)
+            square_inset_ring(depth=0.0, m=32, seed=1)
 
 
 class TestDiameterChordArc:
     def test_length_window(self):
-        arc = diameter_chord_arc(SQUARE, bow=0.01, m=32)
+        arc = diagonal_arc(bow=0.01, m=32)
         d = math.sqrt(2)
         assert d <= polyline_length(arc) <= d + 4 * 0.01
         assert not arc.closed
 
     def test_small_bow_limit(self):
-        arc = diameter_chord_arc(SQUARE, bow=1e-6, m=16)
+        arc = diagonal_arc(bow=1e-6, m=16)
         assert polyline_length(arc) == pytest.approx(math.sqrt(2), abs=1e-5)
 
     def test_no_three_vertices_collinear(self):
-        arc = diameter_chord_arc(SQUARE, bow=0.01, m=24)
+        arc = diagonal_arc(bow=0.01, m=24)
         verts = arc.vertices
         n = len(verts)
         for i in range(n):
@@ -88,13 +97,15 @@ class TestDiameterChordArc:
                     assert orientation(verts[i], verts[j], verts[k]) != 0
 
     def test_bow_too_large(self):
-        with pytest.raises(DegeneracyError):
-            diameter_chord_arc(SQUARE, bow=0.9, m=16)
+        arc = diagonal_arc(bow=0.9, m=16)
+        with pytest.raises(DegeneracyError, match="leaves the inner ring"):
+            _check_arc(SQUARE, list(arc.vertices), Point(0, 1))
 
     def test_interior_vertices_inside_body(self):
-        arc = diameter_chord_arc(SQUARE, bow=0.02, m=16)
+        arc = diagonal_arc(bow=0.02, m=16)
         for v in arc.vertices[1:-1]:
             assert contains(SQUARE, v) == INTERIOR
+        _check_arc(SQUARE, list(arc.vertices), Point(0, 1))
 
 
 class TestBuildEven:
@@ -166,8 +177,6 @@ class TestGeneralBodies:
         assert oracle.count <= r
 
     def test_random_polygon_body(self):
-        from konvex.random_shapes import random_convex_polygon
-
         body = random_convex_polygon(21, n_vertices=9)
         s = s_bound(body, 2)
         result = build_curve(body, ConstructionParams(r=2, eps=0.1 * s, m=96, seed=13))

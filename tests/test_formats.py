@@ -11,13 +11,11 @@ from konvex.formats import (
     multiplicity_report_to_dict,
     parse_polygon,
     parse_polyline,
-    profile_to_csv,
     serialize_polygon,
     serialize_polyline,
     to_json,
 )
 from konvex.geometry import ConvexPolygon, Line, Point
-from konvex.projections import polyline_profile
 from konvex.random_shapes import random_walk_polyline
 from konvex.stabbing import line_multiplicity, max_line_multiplicity
 
@@ -124,15 +122,3 @@ class TestReportJson:
         text = to_json(rep)
         back = multiplicity_report_from_dict(json.loads(text))
         assert back.witness == rep.witness
-
-
-class TestProfileCsv:
-    def test_header_and_rows(self):
-        prof = polyline_profile(SQUARE.as_polyline(), samples=8)
-        csv = profile_to_csv(prof)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "alpha,value"
-        assert len(lines) == 9
-        alpha, value = lines[1].split(",")
-        assert float(alpha) == 0.0
-        assert float(value) == pytest.approx(2.0, abs=1e-12)

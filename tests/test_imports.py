@@ -41,3 +41,7 @@ def test_detector_sees_nested_imports():
 
 def test_s_bound_lives_in_geometry():
     assert konvex.s_bound is verifier.s_bound is geometry.s_bound
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in konvex.__all__ if not hasattr(konvex, name)] == []

@@ -7,14 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from konvex.errors import PreconditionError
-from konvex.geometry import ConvexPolygon, Point, Polyline, contains, diameter, perimeter, polyline_length
+from konvex.geometry import (
+    EXTERIOR,
+    ConvexPolygon,
+    Point,
+    Polyline,
+    contains,
+    diameter,
+    perimeter,
+    polyline_length,
+)
 from konvex.projections import (
     ChordTerm,
     cauchy_width_integral,
     chord_term,
     crofton_length,
-    polygon_width_profile,
-    polyline_profile,
     projection_length,
 )
 from konvex.random_shapes import random_convex_polygon, random_walk_polyline
@@ -143,21 +150,6 @@ class TestChordTerm:
     def test_chord_bounded_by_diameter_when_inside(self, seed):
         body = random_convex_polygon(seed + 40, n_vertices=12)
         poly = random_walk_polyline(seed, body, n_segments=6)
-        from konvex.geometry import EXTERIOR
-
         assert all(contains(body, v) != EXTERIOR for v in poly.vertices)
         d, _, _ = diameter(body)
         assert chord_term(poly).l0 <= d + 1e-12
-
-
-class TestProfiles:
-    def test_polyline_profile_sorted_nonnegative(self):
-        prof = polyline_profile(SQUARE.as_polyline(), samples=64)
-        alphas = [a for a, _ in prof.evaluations]
-        assert alphas == sorted(alphas)
-        assert all(v >= 0 for _, v in prof.evaluations)
-        assert prof.closed_form_integral == pytest.approx(16.0, abs=1e-12)
-
-    def test_polygon_profile_integral(self):
-        prof = polygon_width_profile(SQUARE, samples=64)
-        assert prof.closed_form_integral == pytest.approx(8.0, abs=1e-12)

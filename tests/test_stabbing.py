@@ -13,10 +13,21 @@ from konvex.geometry import (
     Polyline,
     polyline_length,
     rigid_motion,
+    s_bound,
     width,
 )
-from konvex.projections import projection_length
-from konvex.random_shapes import random_star_ring, random_walk_polyline
+from konvex.projections import (
+    chord_term,
+    projection_length,
+    projection_length_samples,
+    width_samples,
+)
+from konvex.random_shapes import (
+    random_convex_polygon,
+    random_star_ring,
+    random_walk_polyline,
+    snap_point,
+)
 from konvex.stabbing import (
     find_stabbing_line,
     line_multiplicity,
@@ -50,6 +61,30 @@ def half_retraced_loop(n_vertices: int) -> Polyline:
     ring = random_star_ring(np.random.default_rng(0), SQUARE, n_vertices=n_vertices)
     v = list(ring.vertices)
     return Polyline(tuple(v + v[:1] + v[1 : n_vertices // 2 + 1]))
+
+
+REGULAR_40GON = ConvexPolygon(
+    tuple(
+        snap_point(math.cos(2 * math.pi * k / 40), math.sin(2 * math.pi * k / 40))
+        for k in range(40)
+    )
+)
+WITNESS_BODIES = [
+    SQUARE,
+    random_convex_polygon(np.random.default_rng(40), 40),
+    random_convex_polygon(7, n_vertices=9),
+]
+
+
+def witness_margins(poly, r, body, alphas):
+    """projection_witness's margin at each angle, by direct evaluation: the
+    projected length less r widths (r - 1 at odd r), less the endpoint
+    chord's projection for an open curve at odd r."""
+    margins = projection_length_samples(poly, alphas) - (r - r % 2) * width_samples(body, alphas)
+    if r % 2 and not poly.closed:
+        chord = chord_term(poly)
+        margins -= chord.l0 * np.abs(np.cos(alphas - chord.alpha0))
+    return margins
 
 
 @pytest.fixture
@@ -215,8 +250,6 @@ class TestProjectionWitness:
 
     def test_odd_witness_on_long_walk(self):
         # any contained polyline longer than s(square, 3) admits an odd witness
-        from konvex.projections import chord_term
-
         poly = None
         for seed in range(20):
             cand = random_walk_polyline(seed, SQUARE, n_segments=30)
@@ -239,6 +272,38 @@ class TestProjectionWitness:
         poly = Polyline((Point(0, 0), Point(5, 5)))
         with pytest.raises(PreconditionError):
             projection_witness(poly, 2, SQUARE)
+
+    def test_regular_polygon_ring_at_exact_bound_has_no_witness(self):
+        # l = 2k at every angle: the margin is rounding noise below the bound
+        assert projection_witness(REGULAR_40GON.as_polyline(), 2, REGULAR_40GON) is None
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("body", WITNESS_BODIES, ids=["square", "40gon", "random-9gon"])
+    def test_exact_maximum_on_over_long_curves(self, body, r):
+        # the margin integrates to at least 4(L - s) > 0 over a full turn, so
+        # every curve longer than s has a positive maximum; the closed form
+        # must find it and never lose to a 4096-angle grid
+        threshold = s_bound(body, r)
+        rng = np.random.default_rng([r, len(body)])
+        tested = 0
+        for trial in range(40):
+            if trial % 3 == 2:
+                poly = random_star_ring(rng, body, n_vertices=int(rng.integers(6, 40)))
+            else:
+                poly = random_walk_polyline(rng, body, n_segments=int(rng.integers(10, 50)))
+            length = polyline_length(poly)
+            if not length > threshold:
+                continue
+            alpha = projection_witness(poly, r, body)
+            assert alpha is not None and 0.0 <= alpha < math.pi
+            best = witness_margins(poly, r, body, np.array([alpha]))[0]
+            assert best > 0.0
+            grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+            assert best >= witness_margins(poly, r, body, grid).max() - 1e-12 * (
+                length + r * threshold
+            )
+            tested += 1
+        assert tested >= 8
 
 
 class TestFindStabbingLine:

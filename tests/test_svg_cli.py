@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from konvex.builder import ConstructionParams, build_curve
 from konvex.cli import main
@@ -235,6 +241,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "body, argv",
+        [
+            ("0 0\n1e-10 0\n0 1e-10\n", ["falsify", "{body}", "2", "--trials", "5"]),
+            ("0 0\n1e-400 0\n0 1e-400\n", ["falsify", "{body}", "2", "--trials", "5"]),
+            ("0 0\n1e-400 0\n0 1e-400\n", ["construct", "{body}", "2", "--eps", "0.1",
+                                             "--out", "{tmp}/curve"]),
+        ],
+        ids=["falsify-below-grid", "falsify-underflow", "construct-underflow"],
+    )
+    def test_bodies_below_the_snap_grid_exit_1(self, tmp_path, capsys, body, argv):
+        # every random walk vertex snaps onto one grid point, or the float
+        # area of the body underflows to 0
+        (tmp_path / "body.txt").write_text(body)
+        paths = {"body": str(tmp_path / "body.txt"), "tmp": str(tmp_path)}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file_exit_1(self, capsys):
         assert main(["bound", "no-such-file.txt", "2"]) == 1
 
@@ -254,3 +279,58 @@ class TestCli:
         # an explicit --seed wins over the variable
         assert main(["falsify", square_file, "2", "--trials", "5", "--seed", "4", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["evidence"]["seed"] == 4
+
+
+# malformed geometry files: `x y` rows over a few coordinates, so that
+# repeated points, collinear triples and short rings are common, or a valid
+# body at an extreme scale; a quarter of the files get one junk row
+_COORDS = st.sampled_from(
+    ["0", "1", "2", "-1", "0.5", "1/3", "1e-10", "1e-400", "1e400", "-1e400", "1e200"]
+)
+_BODIES = [
+    "0 0\n1 0\n1 1\n0 1",
+    "0 0\n2 0\n1 1",
+    "0 0\n1e-10 0\n0 1e-10",
+    "0 0\n1e-400 0\n0 1e-400",
+    "0 0\n1e200 0\n0 1e200",
+]
+_JUNK = st.sampled_from(["3/0", "nan inf", "abc 1", "1 2 3", "open", "1e400", ""])
+
+
+@st.composite
+def _geometry_file(draw, headers):
+    rows = draw(
+        st.one_of(
+            st.sampled_from(_BODIES).map(str.splitlines),
+            st.lists(st.tuples(_COORDS, _COORDS).map(" ".join), max_size=8),
+        )
+    )
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(_JUNK))
+    return "\n".join(draw(headers) + rows) + "\n"
+
+
+class TestCliFuzz:
+    @given(
+        command=st.sampled_from(["bound", "analyze", "verify", "falsify"]),
+        curve_text=_geometry_file(st.sampled_from([["open"], ["closed"], [], ["ring"]])),
+        body_text=_geometry_file(st.just([])),
+        r=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_files_exit_cleanly(self, command, curve_text, body_text, r):
+        with tempfile.TemporaryDirectory() as tmp:
+            curve, body = Path(tmp) / "curve.txt", Path(tmp) / "body.txt"
+            curve.write_text(curve_text)
+            body.write_text(body_text)
+            argv = {
+                "bound": ["bound", str(body), str(r)],
+                "analyze": ["analyze", str(curve)],
+                "verify": ["verify", str(curve), str(body), str(r)],
+                "falsify": ["falsify", str(body), str(r), "--trials", "5"],
+            }[command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -8,7 +8,7 @@ from konvex.builder import ConstructionParams, build_curve
 from konvex.cli import main
 from konvex.errors import NotSimpleError, PreconditionError
 from konvex.geometry import ConvexPolygon, Point, Polyline, diameter, perimeter
-from konvex.random_shapes import random_convex_polygon, random_star_ring
+from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
 from konvex.stabbing import max_line_multiplicity
 from konvex.verifier import (
     BoundReport,
@@ -123,6 +123,12 @@ class TestFalsify:
     def test_rejects_zero_trials(self):
         with pytest.raises(PreconditionError):
             falsify(SQUARE, 2, trials=0, seed=1)
+
+    def test_closed_walk_needs_three_segments(self):
+        # dropping the closing vertex leaves n_segments vertices
+        with pytest.raises(PreconditionError, match="at least 3 segments"):
+            random_walk_polyline(0, SQUARE, n_segments=2, closed=True)
+        assert len(random_walk_polyline(0, SQUARE, n_segments=3, closed=True)) == 3
 
 
 def per_trial_evidence(blocks, r: int, threshold: float, length) -> dict:
