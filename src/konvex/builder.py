@@ -42,11 +42,12 @@ from .geometry import (
     polyline_length,
     s_bound,
 )
-from .random_shapes import snap_point
+from .random_shapes import GRID, snap_point
 from .stabbing import MultiplicityReport, max_line_multiplicity
 
 _MIN_SAMPLES = 8
 _INSET_FLOOR = 1e-7
+_GAP = 0.01  # arc fraction removed from each loop at the common sector
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,12 @@ class ConstructionParams:
     """Tuning knobs for the extremal curve builder.
 
     n = r // 2 loops are built; eps is the admissible length slack below the
-    threshold s(K, r).  inset is the nesting depth per loop (None picks
-    eps / (8 n d) and the builder shrinks it if the length budget fails);
-    gap is the arc fraction removed from each loop at the common sector.
+    threshold s(K, r); m is the number of samples per loop.
     """
 
     r: int
     eps: float
     m: int = 256
-    inset: float | None = None
-    gap: float = 0.01
     seed: int = 0
     max_retries: int = 16
 
@@ -74,10 +71,6 @@ class ConstructionParams:
             raise PreconditionError("eps must be positive")
         if self.m < _MIN_SAMPLES:
             raise PreconditionError(f"need at least {_MIN_SAMPLES} samples per loop")
-        if not 0 < self.gap <= 0.2:
-            raise PreconditionError("gap fraction must be in (0, 0.2]")
-        if self.inset is not None and not self.inset > 0:
-            raise PreconditionError("inset must be positive")
         if self.max_retries < 1:
             raise PreconditionError("max_retries must be at least 1")
 
@@ -225,12 +218,17 @@ def _inset_ring(
             ring = convex_hull(pts)
         except DegeneracyError:
             continue
-        if len(ring) < max(8, m // 4):
+        if len(ring) < _ring_floor(m):
             continue
         if through is not None and through not in ring.ring:
             continue
         return ring
     raise DegeneracyError("could not build a strictly convex inset ring")
+
+
+def _ring_floor(m: int) -> int:
+    """Fewest vertices `_inset_ring` accepts in a ring of m samples."""
+    return max(_MIN_SAMPLES, m // 4)
 
 
 def _arc_walk(
@@ -395,11 +393,6 @@ def _gap_anchor(body: ConvexPolygon) -> tuple[int, tuple[float, float]]:
     return idx, direction
 
 
-def _default_inset(body: ConvexPolygon, params: ConstructionParams) -> float:
-    d, _, _ = diameter(body)
-    return params.eps / (8.0 * max(1, params.n_loops) * d)
-
-
 def _farthest_vertex(ring: ConvexPolygon, origin: Point) -> Point:
     best = ring.ring[0]
     best_d = dist_sq(origin, best)
@@ -447,16 +440,22 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
     odd r a bowed arc then runs from the innermost stop to the ring vertex
     farthest from it, realizing the near-diameter term of the threshold.
     """
+    # An accepted ring has at least _ring_floor(m) distinct vertices on the
+    # snap grid and lies within one grid step of the body, so its perimeter
+    # is at least _ring_floor(m) steps and, perimeter being monotone under
+    # inclusion, at most p + 2 pi steps.  Densifying only raises the floor.
+    if perimeter(body) + 2.0 * math.pi / GRID < _ring_floor(params.m) / GRID:
+        raise DegeneracyError("the body is too small for the 1e-9 snap grid")
     target = s_bound(body, params.r)
     odd = params.r % 2
     anchor_idx, anchor_dir = _gap_anchor(body)
-    default_inset = params.inset if params.inset is not None else _default_inset(body, params)
+    default_inset = params.eps / (8.0 * params.n_loops)
     inset_min = max(default_inset / 32.0, _INSET_FLOOR)
     failing_report: MultiplicityReport | None = None
     longest = 0.0
     for retry in range(params.max_retries):
         rng = np.random.default_rng([params.seed, 10_000 * odd + retry])
-        inset, gap, m_params = default_inset, params.gap, params
+        inset, gap, m_params = default_inset, _GAP, params
         for _shrink in range(12):
             try:
                 rings, opens, starts = _chain_loops(
@@ -485,7 +484,7 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
                 gap /= 2.0
             else:
                 m_params = replace(m_params, m=min(2 * m_params.m, 4096))
-                inset, gap = default_inset / 8.0, params.gap / 2.0
+                inset, gap = default_inset / 8.0, _GAP / 2.0
     message = f"construction failed after {params.max_retries} retries"
     if failing_report is None:  # no attempt was long enough to verify
         message += f"; longest curve {longest:.6g} < {target - 0.9 * params.eps:.6g}"

@@ -98,7 +98,7 @@ def cmd_construct(args) -> int:
     body = parse_polygon(_read(args.body))
     eps = args.eps if args.eps is not None else 0.05 * s_bound(body, args.r)
     params = ConstructionParams(
-        r=args.r, eps=eps, m=args.m, gap=args.gap, seed=_seed(args), max_retries=args.retries
+        r=args.r, eps=eps, m=args.m, seed=_seed(args), max_retries=args.retries
     )
     result = build_curve(body, params)
     out = Path(args.out)
@@ -204,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, default=None, help="default: $KONVEX_SEED or 0")
     cmd.add_argument("--out", default="construction", help="output prefix")
     cmd.add_argument("--m", type=int, default=256, help="samples per loop")
-    cmd.add_argument("--gap", type=float, default=0.01, help="loop opening fraction")
     cmd.add_argument("--retries", type=int, default=16)
 
     cmd = add("verify", cmd_verify, "check a polyline against the threshold")

@@ -188,8 +188,6 @@ def _jsonable(value):
             "r": value.r,
             "eps": value.eps,
             "m": value.m,
-            "inset": value.inset,
-            "gap": value.gap,
             "seed": value.seed,
             "max_retries": value.max_retries,
         }

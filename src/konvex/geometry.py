@@ -216,6 +216,9 @@ class ConvexPolygon:
     """
 
     ring: tuple[Point, ...]
+    # not fields: the metrics, stored by `perimeter` and `diameter` on first use
+    _perimeter = None
+    _diameter = None
 
     def __post_init__(self):
         ring = tuple(self.ring)
@@ -258,8 +261,11 @@ class ConvexPolygon:
 
 
 def perimeter(polygon: ConvexPolygon) -> float:
-    """Closed ring length; identical to polyline_length of the closed ring."""
-    return polyline_length(polygon.as_polyline())
+    """Closed ring length; identical to polyline_length of the closed ring.
+    Computed once per polygon."""
+    if polygon._perimeter is None:
+        object.__setattr__(polygon, "_perimeter", polyline_length(polygon.as_polyline()))
+    return polygon._perimeter
 
 
 def _antipodal_pairs(ring: Sequence[Point]) -> Iterator[tuple[int, int]]:
@@ -301,10 +307,11 @@ def diameter(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
 
     Pair selection compares exact squared distances, so the result matches a
     brute-force scan bit for bit; ties resolve to the lexicographically
-    smallest index pair.
+    smallest index pair.  Computed once per polygon.
     """
+    if polygon._diameter is not None:
+        return polygon._diameter
     ring = polygon.ring
-    n = len(ring)
     best: tuple[Fraction, tuple[int, int]] | None = None
     for i, j in _antipodal_pairs(ring):
         if i == j:
@@ -313,20 +320,26 @@ def diameter(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
         d2 = dist_sq(ring[i], ring[j])
         if best is None or d2 > best[0] or (d2 == best[0] and key < best[1]):
             best = (d2, key)
-    assert best is not None and n >= 3
+    assert best is not None
     i, j = best[1]
-    return (_root(best[0], ring[i], ring[j]), ring[i], ring[j])
+    result = (_root(best[0], ring[i], ring[j]), ring[i], ring[j])
+    object.__setattr__(polygon, "_diameter", result)
+    return result
+
+
+def _threshold(r: int, p: float, d: float) -> float:
+    """s from the perimeter p and the diameter d: r*p/2 for even r,
+    (r-1)*p/2 + d for odd r."""
+    if r % 2 == 0:
+        return r * p / 2.0
+    return (r - 1) * p / 2.0 + d
 
 
 def s_bound(body: ConvexPolygon, r: int) -> float:
-    """Threshold length: r*p/2 for even r, (r-1)*p/2 + d for odd r."""
+    """Threshold length s(K, r); the diameter is computed only for odd r."""
     if r < 2:
         raise PreconditionError("the multiplicity budget r must be at least 2")
-    p = perimeter(body)
-    if r % 2 == 0:
-        return r * p / 2.0
-    d, _, _ = diameter(body)
-    return (r - 1) * p / 2.0 + d
+    return _threshold(r, perimeter(body), diameter(body)[0] if r % 2 else 0.0)
 
 
 def diameter_bruteforce(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
@@ -366,6 +379,14 @@ def contains(polygon: ConvexPolygon, p: Point) -> str:
         if side == COLLINEAR:
             on_edge = True
     return BOUNDARY if on_edge else INTERIOR
+
+
+def _turns_both_ways(ring: Polyline) -> bool:
+    """Whether a closed ring turns left at some vertex and right at another."""
+    verts = ring.vertices
+    n = len(verts)
+    turns = {orientation(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) for i in range(n)}
+    return LEFT in turns and RIGHT in turns
 
 
 def _require_inside(poly: Polyline, body: ConvexPolygon) -> None:
@@ -433,8 +454,8 @@ class Line:
     """Oriented straight line nx*x + ny*y = c with exact rational coefficients.
 
     The normal (nx, ny) is generally not unit length (unit normals of
-    rational lines are irrational); norm_sq() gives its exact squared norm
-    and unit() a normalized double-precision view.  side_of() is exact.
+    rational lines are irrational); unit() gives a normalized
+    double-precision view.  side_of() is exact.
     """
 
     nx: Fraction
@@ -462,9 +483,6 @@ class Line:
         """Points x with <(cos a, sin a), x> = offset: the line perpendicular
         to direction alpha at signed distance offset along it."""
         return cls(Fraction(math.cos(alpha)), Fraction(math.sin(alpha)), Fraction(offset))
-
-    def norm_sq(self) -> Fraction:
-        return self.nx * self.nx + self.ny * self.ny
 
     def unit(self) -> tuple[float, float, float]:
         """(nx, ny, c) scaled to a unit normal, in doubles.

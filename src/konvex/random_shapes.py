@@ -13,15 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegeneracyError, PreconditionError
-from .geometry import (
-    LEFT,
-    RIGHT,
-    ConvexPolygon,
-    Point,
-    Polyline,
-    convex_hull,
-    orientation,
-)
+from .geometry import ConvexPolygon, Point, Polyline, _turns_both_ways, convex_hull
 
 GRID = 10**9
 
@@ -216,14 +208,8 @@ def random_star_ring(
         if len({(p.x, p.y) for p in verts}) != len(verts):
             continue
         ring = Polyline(tuple(verts), closed=True)
-        if spiky and not _has_reflex(ring):
+        if spiky and not _turns_both_ways(ring):
             continue
         return ring
     raise DegeneracyError("could not generate a star ring")
 
-
-def _has_reflex(ring: Polyline) -> bool:
-    verts = ring.vertices
-    n = len(verts)
-    turns = {orientation(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) for i in range(n)}
-    return LEFT in turns and RIGHT in turns

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError, PreconditionError
+from .errors import KonvexError, ParseError, PreconditionError
 from .formats import line_from_dict, parse_polygon, parse_polyline
 from .geometry import ConvexPolygon, Line, Polyline
 
@@ -49,27 +49,33 @@ class SceneDocument:
 def load_scene(path: str | Path) -> SceneDocument:
     """Scene description: JSON with optional 'body' (polygon file), 'curves'
     [{file, label}], 'lines' [{nx, ny, c, label}], 'annotations' [{at, text}].
-    File references resolve relative to the scene file."""
+    File references resolve relative to the scene file.  An unreadable file
+    or a malformed entry raises ParseError."""
     path = Path(path)
+    base = path.parent
     try:
         doc = json.loads(path.read_text())
+        body = parse_polygon((base / doc["body"]).read_text()) if doc.get("body") else None
+        curves = [
+            (entry.get("label", f"curve{i}"), parse_polyline((base / entry["file"]).read_text()))
+            for i, entry in enumerate(doc.get("curves", []))
+        ]
+        lines = [
+            (entry.get("label", f"line{i}"), line_from_dict(entry))
+            for i, entry in enumerate(doc.get("lines", []))
+        ]
+        annotations = [
+            (float(a["at"][0]), float(a["at"][1]), str(a["text"]))
+            for a in doc.get("annotations", [])
+        ]
+    except KonvexError:
+        raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"scene is not valid JSON: {exc}") from exc
-    base = path.parent
-    body = None
-    if doc.get("body"):
-        body = parse_polygon((base / doc["body"]).read_text())
-    curves = []
-    for i, entry in enumerate(doc.get("curves", [])):
-        poly = parse_polyline((base / entry["file"]).read_text())
-        curves.append((entry.get("label", f"curve{i}"), poly))
-    lines = []
-    for i, entry in enumerate(doc.get("lines", [])):
-        lines.append((entry.get("label", f"line{i}"), line_from_dict(entry)))
-    annotations = [
-        (float(a["at"][0]), float(a["at"][1]), str(a["text"]))
-        for a in doc.get("annotations", [])
-    ]
+    except OSError as exc:
+        raise ParseError(f"cannot read {exc.filename}: {exc.strerror}") from exc
+    except (LookupError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed scene: {type(exc).__name__}: {exc}") from exc
     return SceneDocument(body, curves, lines, annotations)
 
 

@@ -19,12 +19,12 @@ from .builder import ConstructionParams, build_curve
 from .errors import ConstructionError, NotSimpleError, PreconditionError
 from .geometry import (
     COLLINEAR,
-    LEFT,
-    RIGHT,
     ConvexPolygon,
     Point,
     Polyline,
     _require_inside,
+    _threshold,
+    _turns_both_ways,
     diameter,
     orientation,
     perimeter,
@@ -57,18 +57,13 @@ class BoundReport:
     evidence: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.r % 2 == 0:
-            expected = self.r * self.perimeter / 2.0
-        else:
-            expected = (self.r - 1) * self.perimeter / 2.0 + self.diameter
+        expected = _threshold(self.r, self.perimeter, self.diameter)
         if not math.isclose(self.s, expected, rel_tol=1e-12, abs_tol=1e-12):
             raise PreconditionError("inconsistent threshold in report")
 
 
 def _report_base(body: ConvexPolygon, r: int, side: str, evidence: dict) -> BoundReport:
-    p = perimeter(body)
-    d, _, _ = diameter(body)
-    return BoundReport(r, p, d, s_bound(body, r), side, evidence)
+    return BoundReport(r, perimeter(body), diameter(body)[0], s_bound(body, r), side, evidence)
 
 
 def check_upper_bound(poly: Polyline, body: ConvexPolygon, r: int) -> BoundReport:
@@ -205,12 +200,7 @@ def prop1_check(poly: Polyline) -> Prop1Result:
     if not poly.closed:
         raise PreconditionError("prop1_check needs a closed polyline")
     _require_simple(poly)
-    verts = poly.vertices
-    n = len(verts)
-    turns = {
-        orientation(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) for i in range(n)
-    }
-    convex = not (LEFT in turns and RIGHT in turns)
+    convex = not _turns_both_ways(poly)
     report = max_line_multiplicity(poly)
     consistent = convex == (report.count <= 3)
     return Prop1Result(convex, report.count, consistent, report)

@@ -204,32 +204,32 @@ class TestPinnedOutput:
             (
                 SQUARE,
                 2,
-                "0f83c062eba7b405ecb041fe3dcb7bc19150af3745ef19fddfce6f27b71e7eee",
-                "3ca43d58b9de129cb300d60152aac8fe5de670483105157b3412a5888934d3f2",
+                "59de4e3123d72e24a97ef2baba915d4bd710888269dba41ae4597894006c2732",
+                "48a0649730dc166cc47747e96d6dafbdf1c7182218240327ccc9b5c4a5a0b1e5",
             ),
             (
                 SQUARE,
                 3,
-                "012d775ef429a9ab276bdf851534d7e1fa277af653753c12374c6c0766041828",
-                "03eb8227e7bec2a7e8e117dbf68835fc81de01b952c65a44a26997b63478b4d2",
+                "f6030a4a5cf871bd940466efe639ddf15ec7a821448de5bf7e60557bc9c91503",
+                "68fbc6a2779e7934477168ced3a6206ad9cf49b37bbd7bded48ca58088c87259",
             ),
             (
                 SQUARE,
                 4,
-                "59051dd3c5cd70a81c38e7d3ab045aa6d7c488c58dc95551d30ec1e898f3e8d2",
-                "56ca2342c4ace02b75b0a85f5d4b2d7d3fc0eb7c2ca44800ad8745e8dc0f0eae",
+                "d8e40ec62ef0d2433c8103ab5c5c8d47731d56aba90ae4df39680f3fd5ea7d85",
+                "9f02a3c58f76619c55cd3e09dcf16f14743f93f8ea322bcec9c6302b27ca3bc9",
             ),
             (
                 SQUARE,
                 5,
-                "cd9783dfe57ce09fab4b8d7ad58a2dc1dabfbcbaafbaa4d7362d9d8dc0b11b40",
-                "6445441ec61a529096e836d4bb54fce45d78ec3258d6b22b6aff0a1a6a795056",
+                "c454c2150a5ccfca414bd435887e56207aff10c02ac75f95b6a28cfda43c083b",
+                "0f7ad40a2c942f39b6881bc77b05a8c3c9cd8db55a21e0d875cbce9eb182a6e8",
             ),
             (
                 TRIANGLE,
                 3,
-                "6c01dea01d4ff2851dd3172d69b69b4b77a62a97c8decf7ac083d6eb16221d2b",
-                "2bfd6d833610b6ba0117c254e3463f2270b970746dc458da13530976be473143",
+                "b2586826942571c5e3685a95f319995655548a22ea16563409095756258ec17b",
+                "156d27e3b31d8bb805512ae1216c1d726a88083778063733763bb3971fe04ab9",
             ),
         ],
         ids=["square-r2", "square-r3", "square-r4", "square-r5", "triangle-r3"],
@@ -239,6 +239,25 @@ class TestPinnedOutput:
         result = build_curve(body, params)
         assert hashlib.sha256(serialize_polyline(result.curve).encode()).hexdigest() == curve_digest
         assert hashlib.sha256(to_json(result).encode()).hexdigest() == sidecar_digest
+
+
+class TestScaleInvariance:
+    """The inset is a length, eps / (8 n): a scaled square gives the unit
+    square's curve, scaled, up to the 1e-9 snap grid."""
+
+    @pytest.mark.parametrize("side", ["1/100", "100"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_scaled_square_matches_unit_square(self, side, r):
+        results = []
+        for k in (1, side):
+            body = ConvexPolygon((Point(0, 0), Point(k, 0), Point(k, k), Point(0, k)))
+            params = ConstructionParams(r=r, eps=0.05 * s_bound(body, r), m=96, seed=1)
+            results.append(build_curve(body, params))
+        unit, scaled = results
+        assert len(scaled.curve) == len(unit.curve)
+        assert scaled.achieved_length / scaled.target == pytest.approx(
+            unit.achieved_length / unit.target, abs=1e-3
+        )
 
 
 class TestConstructionFailure:

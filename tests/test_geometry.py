@@ -246,6 +246,13 @@ class TestDiameter:
         assert d_fast == d_slow  # bit-exact, both from exact squared distances
         assert math.sqrt(float(dist_sq(a, b))) == d_fast
 
+    def test_metrics_are_stored_outside_the_fields(self):
+        body = ConvexPolygon((Point(0, 0), Point(4, 0), Point(0, 3)))
+        fresh = ConvexPolygon(body.ring)
+        shown = repr(body)
+        assert diameter(body) is diameter(body) and perimeter(body) == 12.0
+        assert body == fresh and hash(body) == hash(fresh) and repr(body) == shown
+
     def test_squared_diameter_beyond_double_range(self):
         # d^2 = 2e400 has no float view, d = 1.41e200 does
         big = Fraction(10) ** 200

@@ -248,17 +248,38 @@ class TestCli:
             ("0 0\n1e-400 0\n0 1e-400\n", ["falsify", "{body}", "2", "--trials", "5"]),
             ("0 0\n1e-400 0\n0 1e-400\n", ["construct", "{body}", "2", "--eps", "0.1",
                                              "--out", "{tmp}/curve"]),
+            ("0 0\n1e-10 0\n0 1e-10\n", ["construct", "{body}", "2", "--out", "{tmp}/curve"]),
         ],
-        ids=["falsify-below-grid", "falsify-underflow", "construct-underflow"],
+        ids=["falsify-below-grid", "falsify-underflow", "construct-underflow",
+             "construct-below-grid"],
     )
     def test_bodies_below_the_snap_grid_exit_1(self, tmp_path, capsys, body, argv):
-        # every random walk vertex snaps onto one grid point, or the float
-        # area of the body underflows to 0
+        # every random walk vertex snaps onto one grid point, the float area
+        # of the body underflows to 0, or no inset ring fits on the grid
         (tmp_path / "body.txt").write_text(body)
         paths = {"body": str(tmp_path / "body.txt"), "tmp": str(tmp_path)}
         assert main([arg.format(**paths) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            None,
+            {"body": "no-such-body.txt"},
+            {"body": "square.txt", "curves": [{"label": "no file"}]},
+            [{"body": "square.txt"}],
+            {"body": "square.txt", "lines": [{"nx": "abc", "ny": "0", "c": "0"}]},
+        ],
+        ids=["missing-scene", "missing-body", "curve-without-file", "top-level-list",
+             "bad-line-coefficient"],
+    )
+    def test_malformed_scene_exit_1(self, tmp_path, square_file, capsys, scene):
+        scene_path = tmp_path / "scene.json"
+        if scene is not None:
+            scene_path.write_text(json.dumps(scene))
+        assert main(["svg", str(scene_path), "--out", str(tmp_path / "out.svg")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["bound", "no-such-file.txt", "2"]) == 1
@@ -312,12 +333,12 @@ def _geometry_file(draw, headers):
 
 class TestCliFuzz:
     @given(
-        command=st.sampled_from(["bound", "analyze", "verify", "falsify"]),
+        command=st.sampled_from(["bound", "analyze", "verify", "stab", "falsify", "prop1"]),
         curve_text=_geometry_file(st.sampled_from([["open"], ["closed"], [], ["ring"]])),
         body_text=_geometry_file(st.just([])),
         r=st.integers(min_value=1, max_value=4),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=225, deadline=None)
     def test_malformed_files_exit_cleanly(self, command, curve_text, body_text, r):
         with tempfile.TemporaryDirectory() as tmp:
             curve, body = Path(tmp) / "curve.txt", Path(tmp) / "body.txt"
@@ -327,7 +348,9 @@ class TestCliFuzz:
                 "bound": ["bound", str(body), str(r)],
                 "analyze": ["analyze", str(curve)],
                 "verify": ["verify", str(curve), str(body), str(r)],
+                "stab": ["stab", str(curve), str(r), str(body)],
                 "falsify": ["falsify", str(body), str(r), "--trials", "5"],
+                "prop1": ["prop1", str(curve)],
             }[command]
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

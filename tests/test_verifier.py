@@ -9,7 +9,7 @@ from konvex.cli import main
 from konvex.errors import NotSimpleError, PreconditionError
 from konvex.geometry import ConvexPolygon, Point, Polyline, diameter, perimeter
 from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
-from konvex.stabbing import max_line_multiplicity
+from konvex.stabbing import find_stabbing_line, max_line_multiplicity
 from konvex.verifier import (
     BoundReport,
     check_upper_bound,
@@ -106,6 +106,33 @@ class TestCheckUpperBound:
         assert len(calls) == len(poly.vertices)
 
 
+class TestCalipersRunOnce:
+    """A body computes its diameter once, on first use, and a stabbing line
+    at even r needs none."""
+
+    @pytest.mark.parametrize(
+        "call, runs",
+        [
+            (lambda body: check_upper_bound(random_walk_polyline(3, body, 30), body, 3), 1),
+            (lambda body: build_curve(body, ConstructionParams(r=3, eps=0.3, m=96, seed=7)), 1),
+            (lambda body: falsify(body, 3, trials=60, seed=508), 1),
+            (lambda body: find_stabbing_line(random_walk_polyline(3, body, 30), 2, body), 0),
+        ],
+        ids=["check_upper_bound-r3", "build_curve-r3", "falsify-r3", "find_stabbing_line-r2"],
+    )
+    def test_calipers_runs_per_call(self, monkeypatch, call, runs):
+        calls = []
+        calipers = geometry._antipodal_pairs
+
+        def counting(ring):
+            calls.append(ring)
+            return calipers(ring)
+
+        monkeypatch.setattr(geometry, "_antipodal_pairs", counting)
+        call(ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))))
+        assert len(calls) == runs
+
+
 class TestFalsify:
     def test_small_run_has_no_violations(self):
         report = falsify(SQUARE, 2, trials=120, seed=4)
@@ -184,7 +211,7 @@ class TestPinnedFalsify:
         [
             (3, 40, 508, "0f76cb1b56562d31179ed7dfa3ece71427f49f4f754e5c49e0fe1aaa633c24b9"),
             (5, 40, 510, "19627584d4d9a0b7281cce93800f18e084a32d334d9bb802c7d967338ec324cf"),
-            (3, 60, 508, "14bc56898966d5ad193e8ebe484d77116b536c2cb0be934e3739a995876a4faf"),
+            (3, 60, 508, "4ebdf17e51318d6f6051e1410e538f3d514189818ee139f0e999aa8648f2ae0c"),
         ],
     )
     def test_json_bytes(self, tmp_path, capsys, r, trials, seed, digest):
