@@ -16,6 +16,14 @@ or when a coordinate has no float view, it decides with the exact
 `Fraction` cross product.  The filter only skips work: every sign it
 returns is the exact one.
 
+A polyline also has an integer view, computed once on first use: D, the
+least common multiple of all its coordinate denominators, and the integer
+coordinates X = x·D, Y = y·D.  Every incidence of a rational line with the
+polyline is then a sign or a comparison of Python ints, exact with no
+normalisation and no error bound (the integer approach of Fortune & Van Wyk 1996,
+"Static analysis yields efficient exact integer arithmetic for
+computational geometry").
+
 Decimal strings ingest exactly ("0.1" becomes 1/10); Python floats ingest
 as their exact binary value.
 """
@@ -174,6 +182,7 @@ class Polyline:
 
     vertices: tuple[Point, ...]
     closed: bool = False
+    _grid = None  # not a field: the integer view, stored by `grid` on first use
 
     def __post_init__(self):
         verts = tuple(self.vertices)
@@ -200,6 +209,23 @@ class Polyline:
 
     def float_vertices(self) -> list[tuple[float, float]]:
         return [v.xy for v in self.vertices]
+
+    @property
+    def grid(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """Integer view (D, X, Y) of the vertices, computed once."""
+        grid = self._grid
+        if grid is None:
+            grid = _grid_of(self.vertices)
+            object.__setattr__(self, "_grid", grid)
+        return grid
+
+
+def _grid_of(vertices: Sequence[Point]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """D, the lcm of all coordinate denominators, and X[i] = x_i·D, Y[i] = y_i·D."""
+    d = math.lcm(*(c.denominator for v in vertices for c in (v.x, v.y)))
+    xs = tuple(v.x.numerator * (d // v.x.denominator) for v in vertices)
+    ys = tuple(v.y.numerator * (d // v.y.denominator) for v in vertices)
+    return d, xs, ys
 
 
 def polyline_length(poly: Polyline) -> float:

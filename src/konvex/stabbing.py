@@ -24,10 +24,18 @@ formula: an upper bound on its component count, tight unless intersection
 points coincide.
 
 Exactness contract: every reported count is produced by `line_multiplicity`,
-which decides all incidences with exact rational arithmetic.  The sweep
+which decides all incidences exactly in Python ints on the polyline's
+integer grid (`Polyline.grid`: every coordinate times D, the lcm of their
+denominators).  A rational line is scaled to integer coefficients by the
+lcm of its own denominators, so a vertex's side is the sign of
+a·X + b·Y - c·D, its place along the line is b·X - a·Y, and a crossing of
+edge (i, j) sits at (vᵢ·tⱼ - vⱼ·tᵢ)/(vᵢ - vⱼ), compared by cross
+multiplication; a component's float ends are int true divisions, which
+round correctly, exactly as float() of the Fraction would.  The sweep
 orders directions by float angle and re-decides every pair of angles that
-its rounding-error band cannot separate with an exact cross product, so its
-intervals and scores are exact.  The random oracle screens its float
+its rounding-error band cannot separate with an exact cross product of grid
+differences, so its intervals and scores are exact, and its witnesses are
+rational lines computed on the grid.  The random oracle screens its float
 lines in cache-sized blocks: one projection of the vertices per block gives
 both the lines' offsets and the vertices' signs, a line whose vertices all
 clear the rounding band counts its sign changes directly, and only banded
@@ -46,12 +54,13 @@ one sort gives its exact maximum.  It chooses no stabbing line.
 The sweep scores a batch of curves at once: a row is one curve and one of
 its pivots, and vertex columns are padded to the batch's largest curve.
 Single-curve callers sweep a batch of one.  `verifier.falsify` packs its
-trial curves, sorted by vertex count, into batches of about _SWEEP_ENTRIES
-padded entries and asks only whether some line meets a curve more than r
-times.  A curve whose every score is at most r is within r with no replay,
-since the scores bound every line's count; any other curve is replayed in
-descending score order until a count reaches r + 1 or the scores left
-cannot, so every count above r that it acts on is an exact replay.
+trial curves, sorted by vertex count, into batches of at most
+_BATCH_ENTRIES padded entries and asks only whether some line meets a
+curve more than r times.  A curve whose every score is at most r is within
+r with no replay, since the scores bound every line's count; any other
+curve is replayed in descending score order until a count reaches r + 1 or
+the scores left cannot, so every count above r that it acts on is an exact
+replay.
 """
 
 from __future__ import annotations
@@ -73,7 +82,6 @@ from .geometry import (
     _FILTER,
     _UNDERFLOW,
     _require_inside,
-    orientation,
     polyline_length,
     s_bound,
 )
@@ -89,6 +97,7 @@ METHOD_SWEEP = "rotational_sweep"
 _COORD_LIMIT = 2.0**500
 _TINY = 1e-290  # absolute floor of the angle band: covers subnormal rounding
 _SWEEP_ENTRIES = 1 << 18  # pivot-by-vertex entries per sweep chunk
+_BATCH_ENTRIES = 1 << 16  # padded pivot-by-vertex entries per batch of several curves
 _GENERIC_TRIES = 8  # open-cell witness shifts tried before giving up
 _SCREEN_CHUNK = 8192  # random lines per generator draw: it fixes the oracle's random stream
 _SCREEN_ENTRIES = 1 << 15  # line-by-vertex entries per screened block
@@ -129,57 +138,91 @@ def _segment_endpoints(poly: Polyline) -> Iterator[tuple[int, int, int]]:
         yield n - 1, n - 1, 0
 
 
+def _integer_line(line: Line, d: int) -> tuple[int, int, int]:
+    """(a, b, c) with a·X + b·Y - c a positive multiple of the line's value
+    at the grid point (X, Y) = (x, y)·d: its coefficients scaled to ints by
+    the lcm of their denominators."""
+    nx, ny, c = line.nx, line.ny, line.c
+    scale = math.lcm(nx.denominator, ny.denominator, c.denominator)
+    return (
+        nx.numerator * (scale // nx.denominator),
+        ny.numerator * (scale // ny.denominator),
+        c.numerator * (scale // c.denominator) * d,
+    )
+
+
+def _compare(p: tuple[int, int], q: tuple[int, int]) -> int:
+    """Sign of p - q for positions (numerator, positive denominator)."""
+    u, v = p[0] * q[1], q[0] * p[1]
+    return (u > v) - (u < v)
+
+
+def _float_point(end: tuple[int, int, int]) -> tuple[float, float]:
+    """The correctly rounded doubles (X/q, Y/q) of an exact point (X, Y, q),
+    the same as float() of its Fraction coordinates."""
+    x, y, q = end
+    try:
+        return (x / q, y / q)
+    except OverflowError:
+        raise PreconditionError("a coordinate lies beyond double range") from None
+
+
 def line_multiplicity(line: Line, poly: Polyline, method: str = METHOD_DIRECT) -> MultiplicityReport:
     """Exact component count of line ∩ polyline.
 
     Every intersection piece (crossing point, vertex touch, collinear
-    sub-segment) is located exactly on the line's rational coordinate chart;
-    pieces that touch or overlap there are merged into one component.
+    sub-segment) is located exactly on the line's coordinate chart, in
+    ints on the polyline's integer grid; pieces that touch or overlap there
+    are merged into one component.
     """
-    verts = poly.vertices
-    values = [line.value_at(v) for v in verts]
-    sides = [(value > 0) - (value < 0) for value in values]
+    d, xs, ys = poly.grid
+    a, b, c = _integer_line(line, d)
+    values = [a * x + b * y - c for x, y in zip(xs, ys)]
+    along = [b * x - a * y for x, y in zip(xs, ys)]
 
-    pieces: list[tuple[Fraction, Fraction, Point, Point, int]] = []
-    for seg_idx, ia, ib in _segment_endpoints(poly):
-        sa, sb = sides[ia], sides[ib]
-        if sa == 0 and sb == 0:
-            ta, tb = line.along(verts[ia]), line.along(verts[ib])
-            if ta <= tb:
-                pieces.append((ta, tb, verts[ia], verts[ib], seg_idx))
-            else:
-                pieces.append((tb, ta, verts[ib], verts[ia], seg_idx))
-        elif sa == 0:
-            t = line.along(verts[ia])
-            pieces.append((t, t, verts[ia], verts[ia], seg_idx))
-        elif sb == 0:
-            t = line.along(verts[ib])
-            pieces.append((t, t, verts[ib], verts[ib], seg_idx))
-        elif sa != sb:
-            va, vb = values[ia], values[ib]
-            tau = va / (va - vb)
-            a, b = verts[ia], verts[ib]
-            p = Point(a.x + tau * (b.x - a.x), a.y + tau * (b.y - a.y))
-            t = line.along(p)
-            pieces.append((t, t, p, p, seg_idx))
+    # a piece is (lo, hi, start, end, segment): its extent on the chart as
+    # (numerator, positive denominator) pairs, and its end points as exact
+    # (X, Y, q) with coordinates X/q, Y/q on the grid's scale
+    pieces: list[tuple[tuple[int, int], tuple[int, int], tuple, tuple, int]] = []
+    for seg_idx, i, j in _segment_endpoints(poly):
+        vi, vj = values[i], values[j]
+        if vi == 0 and vj == 0:
+            if along[j] < along[i]:
+                i, j = j, i
+            ends = (xs[i], ys[i], d), (xs[j], ys[j], d)
+            pieces.append(((along[i], 1), (along[j], 1), *ends, seg_idx))
+        elif vi == 0 or vj == 0:
+            k = i if vi == 0 else j
+            t, point = (along[k], 1), (xs[k], ys[k], d)
+            pieces.append((t, t, point, point, seg_idx))
+        elif (vi > 0) != (vj > 0):
+            # the crossing (vi·Pj - vj·Pi) / (vi - vj), its denominator made
+            # positive (so a zero coordinate divides to 0.0, not -0.0)
+            sign = 1 if vi > 0 else -1
+            q = sign * (vi - vj)
+            t = (sign * (vi * along[j] - vj * along[i]), q)
+            point = (sign * (vi * xs[j] - vj * xs[i]), sign * (vi * ys[j] - vj * ys[i]), d * q)
+            pieces.append((t, t, point, point, seg_idx))
 
-    pieces.sort(key=lambda piece: (piece[0], piece[1]))
+    pieces.sort(key=cmp_to_key(lambda s, t: _compare(s[0], t[0]) or _compare(s[1], t[1])))
     components: list[Component] = []
     cur: list | None = None
-    for lo, hi, p_lo, p_hi, seg_idx in pieces:
-        if cur is not None and lo <= cur[1]:
-            if hi > cur[1]:
+    for lo, hi, start, end, seg_idx in pieces:
+        if cur is not None and _compare(lo, cur[1]) <= 0:
+            if _compare(hi, cur[1]) > 0:
                 cur[1] = hi
-                cur[3] = p_hi
+                cur[3] = end
             cur[4].add(seg_idx)
         else:
             if cur is not None:
                 components.append(
-                    Component(tuple(sorted(cur[4])), cur[2].xy, cur[3].xy)
+                    Component(tuple(sorted(cur[4])), _float_point(cur[2]), _float_point(cur[3]))
                 )
-            cur = [lo, hi, p_lo, p_hi, {seg_idx}]
+            cur = [lo, hi, start, end, {seg_idx}]
     if cur is not None:
-        components.append(Component(tuple(sorted(cur[4])), cur[2].xy, cur[3].xy))
+        components.append(
+            Component(tuple(sorted(cur[4])), _float_point(cur[2]), _float_point(cur[3]))
+        )
 
     return MultiplicityReport(len(components), line, method, tuple(components))
 
@@ -190,11 +233,16 @@ def proper_crossings(line: Line, poly: Polyline) -> int:
     Requires that no polyline vertex lies on the line, so every intersection
     is a transversal segment crossing.
     """
-    sides = [line.side_of(v) for v in poly.vertices]
-    if any(s == 0 for s in sides):
-        raise PreconditionError("line passes through a polyline vertex")
-    flips = sum(1 for a, b in zip(sides, sides[1:]) if a != b)
-    if poly.closed and sides[-1] != sides[0]:
+    d, xs, ys = poly.grid
+    a, b, c = _integer_line(line, d)
+    left = []
+    for x, y in zip(xs, ys):
+        value = a * x + b * y - c
+        if value == 0:
+            raise PreconditionError("line passes through a polyline vertex")
+        left.append(value > 0)
+    flips = sum(1 for u, v in zip(left, left[1:]) if u != v)
+    if poly.closed and left[-1] != left[0]:
         flips += 1
     return flips
 
@@ -231,7 +279,7 @@ def _ranks(values: list[Fraction], views: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _cross(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:
+def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
@@ -255,14 +303,15 @@ def _accidental(report: MultiplicityReport, poly: Polyline) -> bool:
     (it passes through a self-intersection point), which a nearby parallel
     line avoids; collinear overlapping edges merge on every nearby line.
     """
-    verts = poly.vertices
-    n = len(verts)
+    _, xs, ys = poly.grid
+    n = len(xs)
     for comp in report.components:
-        first = comp.segments[0]
-        a, b = verts[first], verts[(first + 1) % n]
+        i = comp.segments[0]
+        ex, ey = xs[(i + 1) % n] - xs[i], ys[(i + 1) % n] - ys[i]
         for seg in comp.segments[1:]:
-            if orientation(a, b, verts[seg]) or orientation(a, b, verts[(seg + 1) % n]):
-                return True
+            for k in (seg, (seg + 1) % n):
+                if _cross((ex, ey), (xs[k] - xs[i], ys[k] - ys[i])):
+                    return True
     return False
 
 
@@ -313,11 +362,11 @@ class _Sweep:
         closed = np.array([poly.closed for poly in polys])
         self.edge = col[None, :] < np.where(closed, sizes, sizes - 1)[:, None]
 
-    def _direction(self, curve: int, pivot: int, v: int) -> tuple[Fraction, Fraction]:
-        """Exact v - pivot, negated into the upper half plane (angle in [0, π))."""
-        verts = self.polys[curve].vertices
-        p, q = verts[pivot], verts[v]
-        dx, dy = q.x - p.x, q.y - p.y
+    def _direction(self, curve: int, pivot: int, v: int) -> tuple[int, int]:
+        """v - pivot on the curve's integer grid, negated into the upper half
+        plane (angle in [0, π))."""
+        _, xs, ys = self.polys[curve].grid
+        dx, dy = xs[v] - xs[pivot], ys[v] - ys[pivot]
         return (-dx, -dy) if dy < 0 or (dy == 0 and dx < 0) else (dx, dy)
 
     def _resolve(
@@ -467,11 +516,13 @@ class _Sweep:
         curve, pivot = int(self.row_curve[rows.start + row]), int(self.row_pivot[rows.start + row])
         score, a, b = int(scores[row, k, kind]), rep[row, k], rep[row, k + 1]
         poly = self.polys[curve]
-        verts = poly.vertices
-        p = verts[pivot]
         if kind == _EVENT:
-            return line_multiplicity(Line.from_points(p, verts[a]), poly, METHOD_SWEEP)
-        # a direction strictly inside the interval: a positive combination of its ends
+            return line_multiplicity(
+                Line.from_points(poly.vertices[pivot], poly.vertices[a]), poly, METHOD_SWEEP
+            )
+        # a direction strictly inside the interval: a positive combination of
+        # its ends, in grid units (the grid's coordinates are d times the curve's)
+        d, xs, ys = poly.grid
         ax, ay = self._direction(curve, pivot, a)
         if b >= 0:
             bx, by = self._direction(curve, pivot, b)
@@ -479,16 +530,21 @@ class _Sweep:
         elif ay > 0:
             wx, wy = ax - abs(ax) - ay, ay
         else:  # the only direction is horizontal; the interval is (0, π)
-            wx, wy = Fraction(0), Fraction(1)
-        nx, ny = -wy, wx  # n·(v - p) = cross(w, v - p): positive on the left
-        c = nx * p.x + ny * p.y
+            wx, wy = 0, d
+        # n·(V - P) = cross(w, V - P) on the grid: positive on the left; the
+        # curve's line is n/d·(x, y) = c/d²
+        nx, ny = -wy, wx
+        c = nx * xs[pivot] + ny * ys[pivot]
+        normal = (Fraction(nx, d), Fraction(ny, d))
         if kind == _THROUGH:
-            return line_multiplicity(Line(nx, ny, c), poly, METHOD_SWEEP)
+            return line_multiplicity(Line(*normal, Fraction(c, d * d)), poly, METHOD_SWEEP)
         pivots = self.row_pivot[self.row_start[curve] : self.row_start[curve + 1]]
-        gap = min(abs(nx * v.x + ny * v.y - c) for v in (verts[i] for i in pivots) if v != p)
+        gap = min(abs(nx * xs[i] + ny * ys[i] - c) for i in pivots.tolist() if i != pivot)
         side = 1 if kind == _LEFT else -1
         for tries in range(1, _GENERIC_TRIES + 1):
-            line = Line(nx, ny, c - side * gap / 2**tries)
+            # c/d² - side·gap/(d²·2^tries): the line moved a 2^tries-th of the
+            # way to the nearest other pivot
+            line = Line(*normal, Fraction(c * 2**tries - side * gap, d * d * 2**tries))
             report = line_multiplicity(line, poly, METHOD_SWEEP)
             if report.count == score or not _accidental(report, poly):
                 return report
@@ -542,12 +598,14 @@ def _sweep_best(
 
 def _batches(polys: Sequence[Polyline]) -> Iterator[list[int]]:
     """Indices of the polylines, by vertex count, in batches of at most
-    _SWEEP_ENTRIES padded row × column entries (a larger polyline alone)."""
+    _BATCH_ENTRIES padded row × column entries (a larger polyline alone).
+    A chunk's temporaries take a few hundred bytes per entry, so the budget
+    bounds a batch's memory; a polyline alone is chunked as in any sweep."""
     batch: list[int] = []
     rows = 0
     for i in sorted(range(len(polys)), key=lambda i: len(polys[i].vertices)):
         n = len(polys[i].vertices)
-        if batch and (rows + n) * n > _SWEEP_ENTRIES:
+        if batch and (rows + n) * n > _BATCH_ENTRIES:
             yield batch
             batch, rows = [], 0
         batch.append(i)

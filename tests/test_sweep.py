@@ -262,9 +262,19 @@ class TestBatch:
     def test_batches_by_vertex_count(self, monkeypatch):
         sizes = [5, 3, 9, 3, 30, 4]
         polys = [Polyline(tuple(Point(i, i * i % 7) for i in range(n))) for n in sizes]
-        monkeypatch.setattr(stabbing, "_SWEEP_ENTRIES", 200)
+        monkeypatch.setattr(stabbing, "_BATCH_ENTRIES", 200)
         # rows x width: (3 + 3 + 4 + 5) x 5 = 75, then 9 x 9 = 81, and 30 x 30 alone
         assert list(stabbing._batches(polys)) == [[1, 3, 5, 0], [2], [4]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2, 300), min_size=1, max_size=40))
+    def test_no_batch_exceeds_the_budget(self, sizes):
+        polys = [Polyline(tuple(Point(i, i * i % 7) for i in range(n))) for n in sizes]
+        batches = list(stabbing._batches(polys))
+        assert sorted(i for batch in batches for i in batch) == list(range(len(sizes)))
+        for batch in batches:
+            entries = sum(sizes[i] for i in batch) * max(sizes[i] for i in batch)
+            assert len(batch) == 1 or entries <= stabbing._BATCH_ENTRIES
 
 
 class TestRanks:

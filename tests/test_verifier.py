@@ -1,13 +1,22 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from konvex import geometry, verifier
 from konvex.builder import ConstructionParams, build_curve
 from konvex.cli import main
+from konvex.formats import serialize_polygon, serialize_polyline
 from konvex.errors import NotSimpleError, PreconditionError
-from konvex.geometry import ConvexPolygon, Point, Polyline, diameter, perimeter
+from konvex.geometry import (
+    ConvexPolygon,
+    Point,
+    Polyline,
+    diameter,
+    perimeter,
+    polyline_length,
+)
 from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
 from konvex.stabbing import find_stabbing_line, max_line_multiplicity
 from konvex.verifier import (
@@ -219,6 +228,45 @@ class TestPinnedFalsify:
         square.write_text("0 0\n1 0\n1 1\n0 1\n")
         argv = ["falsify", str(square), str(r), "--trials", str(trials), "--seed", str(seed)]
         assert main(argv + ["--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def over_long_walk(body: ConvexPolygon, r: int, tag: list[int]) -> Polyline:
+    """The first walk of seeds [404, r, trial] + tag longer than s(body, r),
+    as the benchmark's stab workload draws them."""
+    threshold = s_bound(body, r)
+    for trial in range(1, 1000):
+        walk = random_walk_polyline(
+            np.random.default_rng([404, r, trial] + tag), body, n_segments=18 + 6 * r
+        )
+        if polyline_length(walk) > threshold:
+            return walk
+    raise AssertionError("no over-long walk in 1000 trials")
+
+
+class TestPinnedVerify:
+    """sha256 of `konvex verify <walk> <body> r --json` on the stab
+    workload's first walk per case: the witness line's exact coefficients
+    and the components' float bytes."""
+
+    @pytest.mark.parametrize(
+        "body_name, r, digest",
+        [
+            ("square", 2, "3ba4368c13f9063fa1a3730caba6234bcfae7f6961872d51dff992f056c5943b"),
+            ("square", 3, "25590b8f8f8c6b33ea4412ebc547ca257cec42760598b1a4dbb9b452fcffc6a2"),
+            ("square", 4, "d4b904e8c164ef5cb47443bf7c692e8a34f25e46e63f52678a7a255125ad7d33"),
+            ("gon40", 3, "9c8f07e18450ef0ce94be9289cd38a7401d6d71da8da2d570284aaa02c351952"),
+        ],
+    )
+    def test_json_bytes(self, tmp_path, capsys, body_name, r, digest):
+        if body_name == "square":
+            body, tag = SQUARE, []
+        else:
+            body, tag = random_convex_polygon(np.random.default_rng(40), 40), [40]
+        body_path, walk_path = tmp_path / "body.txt", tmp_path / "walk.txt"
+        body_path.write_text(serialize_polygon(body))
+        walk_path.write_text(serialize_polyline(over_long_walk(body, r, tag)))
+        assert main(["verify", str(walk_path), str(body_path), str(r), "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
