@@ -8,6 +8,7 @@ default seed of the randomized commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -172,7 +173,10 @@ def cmd_svg(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    `main` call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="konvex",
         description="Curve length vs line-stabbing multiplicity in convex bodies",

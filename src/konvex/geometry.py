@@ -16,13 +16,14 @@ or when a coordinate has no float view, it decides with the exact
 `Fraction` cross product.  The filter only skips work: every sign it
 returns is the exact one.
 
-A polyline also has an integer view, computed once on first use: D, the
-least common multiple of all its coordinate denominators, and the integer
-coordinates X = x·D, Y = y·D.  Every incidence of a rational line with the
-polyline is then a sign or a comparison of Python ints, exact with no
-normalisation and no error bound (the integer approach of Fortune & Van Wyk 1996,
-"Static analysis yields efficient exact integer arithmetic for
-computational geometry").
+A polyline and a convex polygon also have an integer view, computed once
+on first use: D, the least common multiple of all their coordinate
+denominators, and the integer coordinates X = x·D, Y = y·D.  Every
+incidence of a rational line with a polyline, and every comparison of the
+rotating calipers on a polygon, is then a sign or a comparison of Python
+ints, exact with no normalisation and no error bound (the integer approach
+of Fortune & Van Wyk 1996, "Static analysis yields efficient exact integer
+arithmetic for computational geometry").
 
 Decimal strings ingest exactly ("0.1" becomes 1/10); Python floats ingest
 as their exact binary value.
@@ -211,21 +212,30 @@ class Polyline:
         return [v.xy for v in self.vertices]
 
     @property
-    def grid(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    def grid(self) -> Grid:
         """Integer view (D, X, Y) of the vertices, computed once."""
-        grid = self._grid
-        if grid is None:
-            grid = _grid_of(self.vertices)
-            object.__setattr__(self, "_grid", grid)
-        return grid
+        return _stored_grid(self, self.vertices)
 
 
-def _grid_of(vertices: Sequence[Point]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+Grid = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
+def _grid_of(vertices: Sequence[Point]) -> Grid:
     """D, the lcm of all coordinate denominators, and X[i] = x_i·D, Y[i] = y_i·D."""
     d = math.lcm(*(c.denominator for v in vertices for c in (v.x, v.y)))
     xs = tuple(v.x.numerator * (d // v.x.denominator) for v in vertices)
     ys = tuple(v.y.numerator * (d // v.y.denominator) for v in vertices)
     return d, xs, ys
+
+
+def _stored_grid(owner, vertices: Sequence[Point]) -> Grid:
+    """The integer view of `vertices`, stored on `owner` outside its
+    dataclass fields on first use."""
+    grid = owner._grid
+    if grid is None:
+        grid = _grid_of(vertices)
+        object.__setattr__(owner, "_grid", grid)
+    return grid
 
 
 def polyline_length(poly: Polyline) -> float:
@@ -242,9 +252,11 @@ class ConvexPolygon:
     """
 
     ring: tuple[Point, ...]
-    # not fields: the metrics, stored by `perimeter` and `diameter` on first use
+    # not fields: the metrics, stored by `perimeter` and `diameter` on first
+    # use, and the integer view, stored by `grid`
     _perimeter = None
     _diameter = None
+    _grid = None
 
     def __post_init__(self):
         ring = tuple(self.ring)
@@ -285,6 +297,11 @@ class ConvexPolygon:
     def float_ring(self) -> list[tuple[float, float]]:
         return [v.xy for v in self.ring]
 
+    @property
+    def grid(self) -> Grid:
+        """Integer view (D, X, Y) of the ring, computed once."""
+        return _stored_grid(self, self.ring)
+
 
 def perimeter(polygon: ConvexPolygon) -> float:
     """Closed ring length; identical to polyline_length of the closed ring.
@@ -294,36 +311,38 @@ def perimeter(polygon: ConvexPolygon) -> float:
     return polygon._perimeter
 
 
-def _antipodal_pairs(ring: Sequence[Point]) -> Iterator[tuple[int, int]]:
-    """Vertex index pairs visited by rotating calipers (superset of the diameter pair)."""
-    n = len(ring)
+def _antipodal_pairs(grid: Grid) -> Iterator[tuple[int, int]]:
+    """Vertex index pairs visited by rotating calipers (superset of the diameter
+    pair), on a ring's integer view (D, X, Y).  Cross products are those of
+    the ring scaled by D², so every comparison is the exact one."""
+    _, xs, ys = grid
+    n = len(xs)
     j = 1
     for i in range(n):
         i2 = (i + 1) % n
-        while True:
-            j2 = (j + 1) % n
-            if abs(cross(ring[i], ring[i2], ring[j2])) > abs(
-                cross(ring[i], ring[i2], ring[j])
-            ):
-                j = j2
-            else:
-                break
+        xi, yi = xs[i], ys[i]
+        ex, ey = xs[i2] - xi, ys[i2] - yi
+
+        def height(k: int) -> int:
+            return abs(ex * (ys[k] - yi) - ey * (xs[k] - xi))
+
+        while height((j + 1) % n) > height(j):
+            j = (j + 1) % n
         yield (i, j)
         yield (i2, j)
         # parallel-edge tie: both far vertices are antipodal to edge (i, i2)
         j2 = (j + 1) % n
-        if abs(cross(ring[i], ring[i2], ring[j2])) == abs(
-            cross(ring[i], ring[i2], ring[j])
-        ):
+        if height(j2) == height(j):
             yield (i, j2)
             yield (i2, j2)
 
 
-def _root(d2: Fraction, a: Point, b: Point) -> float:
-    """The distance |a - b| from its exact square d2, or from the float
-    views when d2 itself lies beyond double range."""
+def _root(num: int, den: int, a: Point, b: Point) -> float:
+    """The distance |a - b| from its exact square num/den, or from the float
+    views when the square itself lies beyond double range.  Int true division
+    rounds correctly, as float(Fraction(num, den)) does."""
     try:
-        return math.sqrt(float(d2))
+        return math.sqrt(num / den)
     except OverflowError:
         return math.dist(a.xy, b.xy)
 
@@ -331,24 +350,28 @@ def _root(d2: Fraction, a: Point, b: Point) -> float:
 def diameter(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
     """Maximum vertex-pair distance and one realizing pair (rotating calipers).
 
-    Pair selection compares exact squared distances, so the result matches a
-    brute-force scan bit for bit; ties resolve to the lexicographically
-    smallest index pair.  Computed once per polygon.
+    The calipers and the pair selection run in Python ints on the polygon's
+    integer view, comparing exact squared distances scaled by D², so the
+    result matches a brute-force scan bit for bit; ties resolve to the
+    lexicographically smallest index pair.  Computed once per polygon.
     """
     if polygon._diameter is not None:
         return polygon._diameter
-    ring = polygon.ring
-    best: tuple[Fraction, tuple[int, int]] | None = None
-    for i, j in _antipodal_pairs(ring):
+    grid = polygon.grid
+    d, xs, ys = grid
+    best_d2 = -1
+    best = (0, 1)
+    for i, j in _antipodal_pairs(grid):
         if i == j:
             continue
-        key = (min(i, j), max(i, j))
-        d2 = dist_sq(ring[i], ring[j])
-        if best is None or d2 > best[0] or (d2 == best[0] and key < best[1]):
-            best = (d2, key)
-    assert best is not None
-    i, j = best[1]
-    result = (_root(best[0], ring[i], ring[j]), ring[i], ring[j])
+        key = (i, j) if i < j else (j, i)
+        dx, dy = xs[i] - xs[j], ys[i] - ys[j]
+        d2 = dx * dx + dy * dy
+        if d2 > best_d2 or (d2 == best_d2 and key < best):
+            best_d2, best = d2, key
+    i, j = best
+    ring = polygon.ring
+    result = (_root(best_d2, d * d, ring[i], ring[j]), ring[i], ring[j])
     object.__setattr__(polygon, "_diameter", result)
     return result
 
@@ -380,7 +403,9 @@ def diameter_bruteforce(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
                 best_d2 = d2
                 best = (i, j)
     i, j = best
-    return (_root(best_d2, ring[i], ring[j]), ring[i], ring[j])
+    return (
+        _root(best_d2.numerator, best_d2.denominator, ring[i], ring[j]), ring[i], ring[j]
+    )
 
 
 def width(polygon: ConvexPolygon, alpha: float) -> float:

@@ -97,7 +97,11 @@ def _chain_increments(rng: np.random.Generator, sorted_vals: np.ndarray) -> np.n
 
 def uniform_point_in_polygon(seed_or_rng, polygon: ConvexPolygon) -> tuple[float, float]:
     """Uniform sample from the polygon interior (fan triangulation, doubles)."""
-    rng = _rng(seed_or_rng)
+    return _sample_fan(_rng(seed_or_rng), _fan(polygon))
+
+
+def _fan(polygon: ConvexPolygon) -> tuple[list[tuple[float, float]], list[float], float]:
+    """The float ring, the areas of its fan triangles from vertex 0, and their sum."""
     ring = polygon.float_ring()
     x0, y0 = ring[0]
     areas = []
@@ -105,7 +109,14 @@ def uniform_point_in_polygon(seed_or_rng, polygon: ConvexPolygon) -> tuple[float
         x1, y1 = ring[i]
         x2, y2 = ring[i + 1]
         areas.append(abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
-    total = sum(areas)
+    return ring, areas, sum(areas)
+
+
+def _sample_fan(
+    rng: np.random.Generator, fan: tuple[list[tuple[float, float]], list[float], float]
+) -> tuple[float, float]:
+    ring, areas, total = fan
+    x0, y0 = ring[0]
     pick = rng.random() * total
     idx = 1
     acc = 0.0
@@ -133,10 +144,11 @@ def random_walk_polyline(
     if closed and n_segments < 3:
         raise PreconditionError("a closed walk needs at least 3 segments")
     rng = _rng(seed_or_rng)
+    fan = _fan(polygon)
     verts: list[Point] = []
     while len(verts) < n_segments + 1:
         for _ in range(64):
-            p = snap_point(*uniform_point_in_polygon(rng, polygon))
+            p = snap_point(*_sample_fan(rng, fan))
             if verts and p == verts[-1]:
                 continue
             if closed and len(verts) == n_segments and p == verts[0]:
@@ -150,19 +162,27 @@ def random_walk_polyline(
     return Polyline(tuple(verts), closed=closed)
 
 
+def _outward_edges(polygon: ConvexPolygon) -> list[tuple[float, float, float, float]]:
+    """(ax, ay, nx, ny) per edge: its first vertex and its outward normal."""
+    ring = polygon.float_ring()
+    edges = []
+    for i in range(len(ring)):
+        ax, ay = ring[i]
+        bx, by = ring[(i + 1) % len(ring)]
+        edges.append((ax, ay, by - ay, -(bx - ax)))  # outward normal of a ccw edge
+    return edges
+
+
 def _ray_exit_distance(
-    polygon: ConvexPolygon, origin: tuple[float, float], direction: tuple[float, float]
+    edges: list[tuple[float, float, float, float]],
+    origin: tuple[float, float],
+    direction: tuple[float, float],
 ) -> float:
     """Distance from an interior point to the boundary along a unit direction."""
     ox, oy = origin
     ux, uy = direction
     best = math.inf
-    ring = polygon.float_ring()
-    n = len(ring)
-    for i in range(n):
-        ax, ay = ring[i]
-        bx, by = ring[(i + 1) % n]
-        nx, ny = (by - ay), -(bx - ax)  # outward normal of a ccw edge
+    for ax, ay, nx, ny in edges:
         denom = nx * ux + ny * uy
         if denom <= 1e-15:
             continue
@@ -186,6 +206,7 @@ def random_star_ring(
     """
     rng = _rng(seed_or_rng)
     cx, cy = polygon.centroid()
+    edges = _outward_edges(polygon)
     for _ in range(64):
         # controlled angular gaps: all below pi, so every edge stays inside
         # its wedge and the ring is simple by construction
@@ -195,19 +216,20 @@ def random_star_ring(
         ) * (2.0 * math.pi / gaps.sum())
         if np.min(np.diff(angles, append=angles[0] + 2 * math.pi)) < 1e-3:
             continue
-        verts: list[Point] = []
+        snapped: list[tuple[int, int]] = []  # vertices on the grid, times GRID
         for k, theta in enumerate(angles):
             u = (math.cos(theta), math.sin(theta))
-            reach = _ray_exit_distance(polygon, (cx, cy), u)
+            reach = _ray_exit_distance(edges, (cx, cy), u)
             if spiky:
                 f = rng.uniform(0.75, 0.92) if k % 2 == 0 else rng.uniform(0.15, 0.3)
             else:
                 f = rng.uniform(0.55, 0.9)
             r = f * reach
-            verts.append(snap_point(cx + r * u[0], cy + r * u[1]))
-        if len({(p.x, p.y) for p in verts}) != len(verts):
+            snapped.append((round((cx + r * u[0]) * GRID), round((cy + r * u[1]) * GRID)))
+        if len(set(snapped)) != len(snapped):
             continue
-        ring = Polyline(tuple(verts), closed=True)
+        verts = tuple(Point(Fraction(x, GRID), Fraction(y, GRID)) for x, y in snapped)
+        ring = Polyline(verts, closed=True)
         if spiky and not _turns_both_ways(ring):
             continue
         return ring

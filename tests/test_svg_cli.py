@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from konvex import cli
 from konvex.builder import ConstructionParams, build_curve
 from konvex.cli import main
 from konvex.errors import PreconditionError
@@ -300,6 +304,48 @@ class TestCli:
         # an explicit --seed wins over the variable
         assert main(["falsify", square_file, "2", "--trials", "5", "--seed", "4", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["evidence"]["seed"] == 4
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; every call parses afresh."""
+
+    def test_consecutive_calls_are_independent(self, square_file, ring_file, capsys):
+        assert main(["falsify", square_file, "2", "--trials", "5", "--seed", "4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["evidence"]["seed"] == 4
+        assert main(["bound", square_file, "3"]) == 0
+        assert capsys.readouterr().out.startswith("s = 5.414213562")
+        assert main(["falsify", square_file, "2", "--trials", "6", "--json"]) == 0
+        evidence = json.loads(capsys.readouterr().out)["evidence"]
+        assert (evidence["seed"], evidence["trials"]) == (0, 6)
+        assert main(["prop1", ring_file]) == 0
+        assert capsys.readouterr().out.startswith("convex = True")
+        assert main(["bound", square_file, "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["s"] == 4.0
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_env_seed_is_read_on_every_call(self, square_file, monkeypatch, capsys):
+        for seed in ("123", "77"):
+            monkeypatch.setenv("KONVEX_SEED", seed)
+            assert main(["falsify", square_file, "2", "--trials", "5", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["evidence"]["seed"] == int(seed)
+
+    def test_rejected_arguments_raise_system_exit(self, square_file, capsys):
+        for argv in (["bound", square_file, "two"], ["bound", square_file], ["nosuch"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["bound", square_file, "2"]) == 0
+        assert capsys.readouterr().out.startswith("s = 4.0")
+
+    def test_import_builds_no_parser(self):
+        probe = "import konvex.cli as c; print(c.build_parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "0"
 
 
 # malformed geometry files: `x y` rows over a few coordinates, so that
