@@ -22,17 +22,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, DegeneracyError, PreconditionError
 from .geometry import (
+    COLLINEAR,
     EXTERIOR,
     INTERIOR,
     RIGHT,
     ConvexPolygon,
     Point,
     Polyline,
+    _grid_of,
+    _turn,
     contains,
     convex_hull,
     diameter,
@@ -295,12 +299,12 @@ def _bowed_arc(
     return pts
 
 
-def _no_three_collinear(points: list[Point]) -> bool:
-    n = len(points)
+def _no_three_collinear(xs: Sequence[int], ys: Sequence[int]) -> bool:
+    n = len(xs)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if orientation(points[i], points[j], points[k]) == 0:
+                if _turn(xs, ys, i, j, k) == COLLINEAR:
                     return False
     return True
 
@@ -405,18 +409,20 @@ def _farthest_vertex(ring: ConvexPolygon, origin: Point) -> Point:
 
 def _check_arc(inner: ConvexPolygon, arc: list[Point], triangle_apex: Point) -> None:
     """Interior arc vertices must sit strictly inside the inner ring and
-    strictly inside the triangle (apex, far end, stop); no 3 collinear."""
-    a, b = arc[0], arc[-1]
-    for p in arc[1:-1]:
-        if contains(inner, p) != INTERIOR:
+    strictly inside the triangle (apex, far end, stop); no 3 collinear.
+    Decided on the integer view of the arc and its apex."""
+    _, xs, ys = _grid_of(arc + [triangle_apex])
+    a, b, t = 0, len(arc) - 1, len(arc)
+    for p in range(1, b):
+        if contains(inner, arc[p]) != INTERIOR:
             raise DegeneracyError("arc leaves the inner ring")
         if not (
-            orientation(a, b, p) == orientation(a, b, triangle_apex)
-            and orientation(b, triangle_apex, p) == orientation(b, triangle_apex, a)
-            and orientation(triangle_apex, a, p) == orientation(triangle_apex, a, b)
+            _turn(xs, ys, a, b, p) == _turn(xs, ys, a, b, t)
+            and _turn(xs, ys, b, t, p) == _turn(xs, ys, b, t, a)
+            and _turn(xs, ys, t, a, p) == _turn(xs, ys, t, a, b)
         ):
             raise DegeneracyError("arc leaves its guard triangle")
-    if not _no_three_collinear(arc):
+    if not _no_three_collinear(xs[:t], ys[:t]):
         raise DegeneracyError("arc has collinear vertices")
 
 

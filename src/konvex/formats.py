@@ -200,5 +200,5 @@ def _jsonable(value):
     return value
 
 
-def to_json(value, indent: int | None = 2) -> str:
-    return json.dumps(_jsonable(value), indent=indent, sort_keys=True)
+def to_json(value) -> str:
+    return json.dumps(_jsonable(value), indent=2, sort_keys=True)

@@ -1,29 +1,22 @@
 """Exact planar primitives and convex-polygon metrics.
 
 Coordinates are stored as exact rationals (`fractions.Fraction`), so the
-sign predicates (orientation, point-in-polygon, point-on-line) are exact:
-no epsilons, no tie-breaking heuristics.  Metric quantities (lengths,
-widths, angles) are computed in double precision from float views of the
-same coordinates; a point converts its coordinates once, on first use,
-and refuses coordinates beyond double range with PreconditionError.
+sign predicates are exact: no epsilons, no tie-breaking heuristics.
+Metric quantities (lengths, widths, angles) are computed in double
+precision from float views of the same coordinates; a point converts its
+coordinates once, on first use, and refuses coordinates beyond double
+range with PreconditionError.
 
-`orientation` is filtered (Shewchuk 1997, "Adaptive Precision
-Floating-Point Arithmetic and Fast Robust Geometric Predicates"): it
-evaluates the determinant from the float views and returns that sign when
-its magnitude exceeds a static bound on every rounding error, from the
-conversion of the six coordinates to the final subtraction.  Otherwise,
-or when a coordinate has no float view, it decides with the exact
-`Fraction` cross product.  The filter only skips work: every sign it
-returns is the exact one.
-
-A polyline and a convex polygon also have an integer view, computed once
-on first use: D, the least common multiple of all their coordinate
-denominators, and the integer coordinates X = x·D, Y = y·D.  Every
-incidence of a rational line with a polyline, and every comparison of the
-rotating calipers on a polygon, is then a sign or a comparison of Python
-ints, exact with no normalisation and no error bound (the integer approach
-of Fortune & Van Wyk 1996, "Static analysis yields efficient exact integer
-arithmetic for computational geometry").
+Every sign predicate (orientation, point-in-polygon, strict convexity,
+the convex hull's turns) is the sign of a Python int: it runs on the
+integer view of its points, D, the least common multiple of all their
+coordinate denominators, and the integer coordinates X = x·D, Y = y·D.
+A polyline and a convex polygon compute that view once, on first use.
+Every incidence of a rational line with a polyline, and every comparison
+of the rotating calipers on a polygon, is likewise a sign or a comparison
+of ints, exact with no normalisation, no error bound and no float filter
+(the integer approach of Fortune & Van Wyk 1996, "Static analysis yields
+efficient exact integer arithmetic for computational geometry").
 
 Decimal strings ingest exactly ("0.1" becomes 1/10); Python floats ingest
 as their exact binary value.
@@ -32,7 +25,6 @@ as their exact binary value.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -45,14 +37,6 @@ Coordinate = Fraction | int | float | str
 LEFT = 1
 COLLINEAR = 0
 RIGHT = -1
-
-# Static filter of `orientation`.  Rounding the six conversions, the two
-# differences, the two products and the subtraction errs by at most about
-# 3 eps times the sum of the magnitude products; 16 eps leaves a wide
-# margin.  _UNDERFLOW, added to every magnitude sum and to the bound, covers
-# the absolute error of subnormal conversions and results.
-_FILTER = 16.0 * sys.float_info.epsilon
-_UNDERFLOW = 2.0**-1000
 
 # Containment classes.
 INTERIOR = "interior"
@@ -138,32 +122,17 @@ def cross(o: Point, a: Point, b: Point) -> Fraction:
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
-    """Exact turn direction of the triple: LEFT, RIGHT or COLLINEAR.
+    """Exact turn direction of the triple: LEFT, RIGHT or COLLINEAR."""
+    _, xs, ys = _grid_of((p, q, r))
+    return _turn(xs, ys, 0, 1, 2)
 
-    Decided by the float filter when it can, by `cross` otherwise.
-    """
-    try:
-        px, py = p.xy
-        qx, qy = q.xy
-        rx, ry = r.xy
-    except PreconditionError:
-        pass
-    else:
-        det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-        bound = _FILTER * (
-            (abs(qx) + abs(px) + _UNDERFLOW) * (abs(ry) + abs(py) + _UNDERFLOW)
-            + (abs(qy) + abs(py) + _UNDERFLOW) * (abs(rx) + abs(px) + _UNDERFLOW)
-        ) + _UNDERFLOW
-        if det > bound:
-            return LEFT
-        if det < -bound:
-            return RIGHT
-    c = cross(p, q, r)
-    if c > 0:
-        return LEFT
-    if c < 0:
-        return RIGHT
-    return COLLINEAR
+
+def _turn(xs: Sequence[int], ys: Sequence[int], i: int, j: int, k: int) -> int:
+    """Turn direction of the points i, j, k of an integer view: the sign of
+    the int cross product (P_j - P_i) x (P_k - P_i)."""
+    xi, yi = xs[i], ys[i]
+    c = (xs[j] - xi) * (ys[k] - yi) - (ys[j] - yi) * (xs[k] - xi)
+    return (c > 0) - (c < 0)
 
 
 def dist_sq(a: Point, b: Point) -> Fraction:
@@ -222,10 +191,10 @@ Grid = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 def _grid_of(vertices: Sequence[Point]) -> Grid:
     """D, the lcm of all coordinate denominators, and X[i] = x_i·D, Y[i] = y_i·D."""
-    d = math.lcm(*(c.denominator for v in vertices for c in (v.x, v.y)))
-    xs = tuple(v.x.numerator * (d // v.x.denominator) for v in vertices)
-    ys = tuple(v.y.numerator * (d // v.y.denominator) for v in vertices)
-    return d, xs, ys
+    ratios = [c.as_integer_ratio() for v in vertices for c in (v.x, v.y)]
+    d = math.lcm(*(q for _, q in ratios))
+    scaled = [p * (d // q) for p, q in ratios]
+    return d, tuple(scaled[0::2]), tuple(scaled[1::2])
 
 
 def _stored_grid(owner, vertices: Sequence[Point]) -> Grid:
@@ -259,15 +228,15 @@ class ConvexPolygon:
     _grid = None
 
     def __post_init__(self):
-        ring = tuple(self.ring)
-        object.__setattr__(self, "ring", ring)
-        n = len(ring)
+        object.__setattr__(self, "ring", tuple(self.ring))
+        n = len(self.ring)
         if n < 3:
             raise DegeneracyError("a convex polygon needs at least 3 vertices")
-        if len({(p.x, p.y) for p in ring}) != n:
+        _, xs, ys = self.grid
+        if len(set(zip(xs, ys))) != n:
             raise PreconditionError("convex polygon ring has repeated vertices")
         for i in range(n):
-            if orientation(ring[i], ring[(i + 1) % n], ring[(i + 2) % n]) != LEFT:
+            if _turn(xs, ys, i, (i + 1) % n, (i + 2) % n) != LEFT:
                 raise PreconditionError(
                     "ring is not strictly convex counterclockwise "
                     f"(violation at vertex {(i + 1) % n})"
@@ -419,12 +388,18 @@ def width(polygon: ConvexPolygon, alpha: float) -> float:
 
 
 def contains(polygon: ConvexPolygon, p: Point) -> str:
-    """Classify a point against the polygon with exact edge orientations."""
-    ring = polygon.ring
-    n = len(ring)
+    """Classify a point against the polygon with exact edge turns.
+
+    The ring's view (D, X, Y) and the point's own view (q, x, y) meet on the
+    common scale D·q: the ring at X·q, Y·q and the point at x·D, y·D."""
+    d, xs, ys = polygon.grid
+    q, (x,), (y,) = _grid_of((p,))
+    n = len(xs)
+    xs = [v * q for v in xs] + [x * d]
+    ys = [v * q for v in ys] + [y * d]
     on_edge = False
     for i in range(n):
-        side = orientation(ring[i], ring[(i + 1) % n], p)
+        side = _turn(xs, ys, i, (i + 1) % n, n)
         if side == RIGHT:
             return EXTERIOR
         if side == COLLINEAR:
@@ -434,9 +409,9 @@ def contains(polygon: ConvexPolygon, p: Point) -> str:
 
 def _turns_both_ways(ring: Polyline) -> bool:
     """Whether a closed ring turns left at some vertex and right at another."""
-    verts = ring.vertices
-    n = len(verts)
-    turns = {orientation(verts[i], verts[(i + 1) % n], verts[(i + 2) % n]) for i in range(n)}
+    _, xs, ys = ring.grid
+    n = len(xs)
+    turns = {_turn(xs, ys, i, (i + 1) % n, (i + 2) % n) for i in range(n)}
     return LEFT in turns and RIGHT in turns
 
 
@@ -446,41 +421,33 @@ def _require_inside(poly: Polyline, body: ConvexPolygon) -> None:
             raise PreconditionError("polyline is not contained in the body")
 
 
-def _float_key(p: Point) -> tuple[float, Fraction, float, Fraction]:
-    """Sort key in the exact (x, y) order.  Rounding to double is monotone,
-    so only points with equal float views reach the exact comparison."""
-    x, y = p.xy
-    return (x, p.x, y, p.y)
-
-
 def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
     """Counterclockwise convex hull with collinear boundary points dropped.
 
-    Raises DegeneracyError when the input spans no area (fewer than 3
-    distinct points, or all collinear).
+    Sorts, deduplicates and turns on the points' integer view.  Raises
+    DegeneracyError when the input spans no area (fewer than 3 distinct
+    points, or all collinear).
     """
-    try:
-        ordered = sorted(points, key=_float_key)
-    except PreconditionError:  # a coordinate beyond double range
-        ordered = sorted(points, key=lambda p: (p.x, p.y))
-    pts = [p for i, p in enumerate(ordered) if i == 0 or p != ordered[i - 1]]
+    _, xs, ys = _grid_of(points)
+    first: dict[tuple[int, int], int] = {}
+    for i, key in enumerate(zip(xs, ys)):
+        first.setdefault(key, i)
+    pts = [first[key] for key in sorted(first)]
     if len(pts) < 3:
         raise DegeneracyError("convex hull needs at least 3 distinct points")
 
-    def half(chain_pts: list[Point]) -> list[Point]:
-        chain: list[Point] = []
+    def half(chain_pts: list[int]) -> list[int]:
+        chain: list[int] = []
         for p in chain_pts:
-            while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) != LEFT:
+            while len(chain) >= 2 and _turn(xs, ys, chain[-2], chain[-1], p) != LEFT:
                 chain.pop()
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    ring = lower[:-1] + upper[:-1]
+    ring = half(pts)[:-1] + half(pts[::-1])[:-1]
     if len(ring) < 3:
         raise DegeneracyError("points are collinear; hull is degenerate")
-    return ConvexPolygon(tuple(ring))
+    return ConvexPolygon(tuple(points[i] for i in ring))
 
 
 def rigid_motion(

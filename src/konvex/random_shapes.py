@@ -95,11 +95,6 @@ def _chain_increments(rng: np.random.Generator, sorted_vals: np.ndarray) -> np.n
     return np.array(up + down)
 
 
-def uniform_point_in_polygon(seed_or_rng, polygon: ConvexPolygon) -> tuple[float, float]:
-    """Uniform sample from the polygon interior (fan triangulation, doubles)."""
-    return _sample_fan(_rng(seed_or_rng), _fan(polygon))
-
-
 def _fan(polygon: ConvexPolygon) -> tuple[list[tuple[float, float]], list[float], float]:
     """The float ring, the areas of its fan triangles from vertex 0, and their sum."""
     ring = polygon.float_ring()

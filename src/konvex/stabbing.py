@@ -31,15 +31,18 @@ lcm of its own denominators, so a vertex's side is the sign of
 a·X + b·Y - c·D, its place along the line is b·X - a·Y, and a crossing of
 edge (i, j) sits at (vᵢ·tⱼ - vⱼ·tᵢ)/(vᵢ - vⱼ), compared by cross
 multiplication; a component's float ends are int true divisions, which
-round correctly, exactly as float() of the Fraction would.  The sweep
-orders directions by float angle and re-decides every pair of angles that
-its rounding-error band cannot separate with an exact cross product of grid
-differences, so its intervals and scores are exact, and its witnesses are
-rational lines computed on the grid.  The random oracle screens its float
-lines in cache-sized blocks: one projection of the vertices per block gives
-both the lines' offsets and the vertices' signs, a line whose vertices all
+round correctly, exactly as float() of the Fraction would.  The sweep and
+the oracle read a polyline only through that grid.  Their float view is
+X/D, an int true division with the same bits as `Point.xy`.  The sweep
+ranks each curve's coordinates on its grid ints, orders directions by
+float angle and re-decides every pair of angles that its rounding-error
+band cannot separate with an int cross product of grid differences, so
+its intervals and scores are exact, and its witnesses are rational lines
+built from grid ints.  The random oracle screens its float lines in
+cache-sized blocks: one projection of the vertices per block gives both
+the lines' offsets and the vertices' signs, a line whose vertices all
 clear the rounding band counts its sign changes directly, and only banded
-vertices are re-decided with exact arithmetic.  Both replay
+vertices are re-decided, in ints against the line's exact lift.  Both replay
 candidates exactly in descending score order until no remaining score can
 beat the best exact count, so screening never changes a reported number.
 
@@ -66,6 +69,7 @@ replay.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -77,10 +81,7 @@ from .errors import PreconditionError, VerificationError
 from .geometry import (
     ConvexPolygon,
     Line,
-    Point,
     Polyline,
-    _FILTER,
-    _UNDERFLOW,
     _require_inside,
     polyline_length,
     s_bound,
@@ -96,6 +97,13 @@ METHOD_SWEEP = "rotational_sweep"
 # coordinate differences (below 2^1002) then stay finite in double precision.
 _COORD_LIMIT = 2.0**500
 _TINY = 1e-290  # absolute floor of the angle band: covers subnormal rounding
+# Relative width of the float bands: the sweep's angle band, the oracle's
+# sign band and the projection witness's margin floor.  Each float result
+# there errs by a few eps of its operands' magnitudes; 16 eps leaves a wide
+# margin.  _UNDERFLOW, added to the oracle's band, covers the absolute
+# error of subnormal products.
+_FILTER = 16.0 * sys.float_info.epsilon
+_UNDERFLOW = 2.0**-1000
 _SWEEP_ENTRIES = 1 << 18  # pivot-by-vertex entries per sweep chunk
 _BATCH_ENTRIES = 1 << 16  # padded pivot-by-vertex entries per batch of several curves
 _GENERIC_TRIES = 8  # open-cell witness shifts tried before giving up
@@ -138,17 +146,13 @@ def _segment_endpoints(poly: Polyline) -> Iterator[tuple[int, int, int]]:
         yield n - 1, n - 1, 0
 
 
-def _integer_line(line: Line, d: int) -> tuple[int, int, int]:
-    """(a, b, c) with a·X + b·Y - c a positive multiple of the line's value
-    at the grid point (X, Y) = (x, y)·d: its coefficients scaled to ints by
-    the lcm of their denominators."""
-    nx, ny, c = line.nx, line.ny, line.c
-    scale = math.lcm(nx.denominator, ny.denominator, c.denominator)
-    return (
-        nx.numerator * (scale // nx.denominator),
-        ny.numerator * (scale // ny.denominator),
-        c.numerator * (scale // c.denominator) * d,
-    )
+def _integer_line(coefs: Sequence[Fraction | float], d: int) -> tuple[int, int, int]:
+    """(a, b, c) with a·X + b·Y - c a positive multiple of nx·x + ny·y - c0
+    at the grid point (X, Y) = (x, y)·d, for exact coefficients
+    (nx, ny, c0): scaled to ints by the lcm of their denominators."""
+    (a, p), (b, q), (c, r) = (v.as_integer_ratio() for v in coefs)
+    scale = math.lcm(p, q, r)
+    return a * (scale // p), b * (scale // q), c * (scale // r) * d
 
 
 def _compare(p: tuple[int, int], q: tuple[int, int]) -> int:
@@ -176,7 +180,7 @@ def line_multiplicity(line: Line, poly: Polyline, method: str = METHOD_DIRECT) -
     are merged into one component.
     """
     d, xs, ys = poly.grid
-    a, b, c = _integer_line(line, d)
+    a, b, c = _integer_line((line.nx, line.ny, line.c), d)
     values = [a * x + b * y - c for x, y in zip(xs, ys)]
     along = [b * x - a * y for x, y in zip(xs, ys)]
 
@@ -234,7 +238,7 @@ def proper_crossings(line: Line, poly: Polyline) -> int:
     is a transversal segment crossing.
     """
     d, xs, ys = poly.grid
-    a, b, c = _integer_line(line, d)
+    a, b, c = _integer_line((line.nx, line.ny, line.c), d)
     left = []
     for x, y in zip(xs, ys):
         value = a * x + b * y - c
@@ -252,31 +256,25 @@ def proper_crossings(line: Line, poly: Polyline) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _float_points(vertices: Sequence[Point]) -> np.ndarray:
-    """Float view of the vertices, refused outside ±_COORD_LIMIT."""
-    pts = np.array([v.xy for v in vertices], dtype=np.float64)
+def _float_points(poly: Polyline) -> np.ndarray:
+    """Float view (X/D, Y/D) of the polyline's integer view, refused outside
+    ±_COORD_LIMIT.  Int true division rounds correctly, so these are the
+    bits of `Point.xy`."""
+    d, xs, ys = poly.grid
+    refused = PreconditionError("vertex coordinates must lie within ±2^500")
+    try:
+        pts = np.array([(x / d, y / d) for x, y in zip(xs, ys)], dtype=np.float64)
+    except OverflowError:
+        raise refused from None
     if not np.all(np.abs(pts) <= _COORD_LIMIT):
-        raise PreconditionError("vertex coordinates must lie within ±2^500")
+        raise refused
     return pts
 
 
-def _ranks(values: list[Fraction], views: np.ndarray) -> np.ndarray:
-    """Dense rank of every exact value, so integer comparisons decide rational ones.
-
-    Values are sorted by their float views, which rounding keeps in order;
-    only values with equal views are compared exactly."""
-    order = np.argsort(views, kind="stable")
-    differs = views[order[1:]] != views[order[:-1]]
-    tied = np.flatnonzero(~differs)
-    if tied.size:
-        breaks = np.flatnonzero(np.diff(tied) > 1)
-        for a, b in zip(np.r_[tied[0], tied[breaks + 1]], np.r_[tied[breaks], tied[-1]] + 2):
-            run = sorted(order[a:b].tolist(), key=values.__getitem__)
-            order[a:b] = run
-            differs[a : b - 1] = [values[i] != values[j] for i, j in zip(run, run[1:])]
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[order] = np.concatenate([[0], np.cumsum(differs)])
-    return ranks
+def _ranks(values: Sequence[int]) -> list[int]:
+    """Dense rank of every value, so that equal values share a rank."""
+    rank = {v: k for k, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
 
 
 def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
@@ -322,7 +320,8 @@ class _Sweep:
     A row is one curve and one of its pivots.  Vertex columns are padded to
     the batch's largest curve: a padded column is left out of the angular
     order like the pivot's own coincident vertices, and its edge enters no
-    tally.  Ranks and point ids are computed once for the whole batch.
+    tally.  Ranks, each curve's on its own grid, and point ids are computed
+    once for the whole batch.
 
     For a pivot, each other vertex gets its exact direction class: `lower`
     (v - pivot points into the lower half plane, so it is negated into
@@ -338,10 +337,11 @@ class _Sweep:
         self.polys = polys
         sizes = np.array([len(poly.vertices) for poly in polys])
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        verts = [v for poly in polys for v in poly.vertices]
-        pts = _float_points(verts)
-        rank_x = _ranks([v.x for v in verts], pts[:, 0])
-        rank_y = _ranks([v.y for v in verts], pts[:, 1])
+        pts = np.concatenate([_float_points(poly) for poly in polys])
+        # rows compare only the vertices of their own curve, so each curve is
+        # ranked on its own grid
+        rank_x = np.array([k for poly in polys for k in _ranks(poly.grid[1])])
+        rank_y = np.array([k for poly in polys for k in _ranks(poly.grid[2])])
         pid = np.unique(rank_x * (int(rank_y.max()) + 1) + rank_y, return_inverse=True)[1]
         # rows: each curve's first vertex of every distinct point, in order
         curve = np.repeat(np.arange(len(polys)), sizes)
@@ -352,7 +352,7 @@ class _Sweep:
 
         col = np.arange(sizes.max())
         self.pad = col[None, :] >= sizes[:, None]
-        index = np.minimum(starts[:, None] + col, len(verts) - 1)
+        index = np.minimum(starts[:, None] + col, len(pts) - 1)
         self.pid = np.where(self.pad, -1, pid[index])
         self.pts = pts[index]
         self.mag = np.abs(self.pts).max(axis=2)
@@ -516,27 +516,29 @@ class _Sweep:
         curve, pivot = int(self.row_curve[rows.start + row]), int(self.row_pivot[rows.start + row])
         score, a, b = int(scores[row, k, kind]), rep[row, k], rep[row, k + 1]
         poly = self.polys[curve]
-        if kind == _EVENT:
-            return line_multiplicity(
-                Line.from_points(poly.vertices[pivot], poly.vertices[a]), poly, METHOD_SWEEP
-            )
-        # a direction strictly inside the interval: a positive combination of
-        # its ends, in grid units (the grid's coordinates are d times the curve's)
         d, xs, ys = poly.grid
-        ax, ay = self._direction(curve, pivot, a)
-        if b >= 0:
-            bx, by = self._direction(curve, pivot, b)
-            wx, wy = ax + bx, ay + by
-        elif ay > 0:
-            wx, wy = ax - abs(ax) - ay, ay
-        else:  # the only direction is horizontal; the interval is (0, π)
-            wx, wy = 0, d
+        if kind == _EVENT:
+            # the direction from the pivot to the event's first vertex, as
+            # Line.from_points takes it
+            wx, wy = xs[a] - xs[pivot], ys[a] - ys[pivot]
+        else:
+            # a direction strictly inside the interval: a positive combination
+            # of its ends, in grid units (the grid's coordinates are d times
+            # the curve's)
+            ax, ay = self._direction(curve, pivot, a)
+            if b >= 0:
+                bx, by = self._direction(curve, pivot, b)
+                wx, wy = ax + bx, ay + by
+            elif ay > 0:
+                wx, wy = ax - abs(ax) - ay, ay
+            else:  # the only direction is horizontal; the interval is (0, π)
+                wx, wy = 0, d
         # n·(V - P) = cross(w, V - P) on the grid: positive on the left; the
         # curve's line is n/d·(x, y) = c/d²
         nx, ny = -wy, wx
         c = nx * xs[pivot] + ny * ys[pivot]
         normal = (Fraction(nx, d), Fraction(ny, d))
-        if kind == _THROUGH:
+        if kind in (_EVENT, _THROUGH):
             return line_multiplicity(Line(*normal, Fraction(c, d * d)), poly, METHOD_SWEEP)
         pivots = self.row_pivot[self.row_start[curve] : self.row_start[curve + 1]]
         gap = min(abs(nx * xs[i] + ny * ys[i] - c) for i in pivots.tolist() if i != pivot)
@@ -690,11 +692,13 @@ def _screen(poly: Polyline, pts: np.ndarray, lines: np.ndarray, proj: np.ndarray
     np.abs(vals, out=vals)
     banded_rows = np.flatnonzero(vals.min(axis=1) <= band)
     if banded_rows.size:
+        d, xs, ys = poly.grid
         signs = np.where(left[banded_rows], 1, -1).astype(np.int8)
         for i, row in enumerate(banded_rows):
-            line = _lift(lines[row])
-            for col in np.flatnonzero(vals[row] <= band[row]):
-                signs[i, col] = line.side_of(poly.vertices[col])
+            a, b, c = _integer_line(lines[row].tolist(), d)
+            for col in np.flatnonzero(vals[row] <= band[row]).tolist():
+                value = a * xs[col] + b * ys[col] - c
+                signs[i, col] = (value > 0) - (value < 0)
         counts[banded_rows] = _count_from_signs(signs, poly.closed)
     return counts
 
@@ -706,7 +710,7 @@ def _screened_lines(poly: Polyline, trials: int, seed: int) -> tuple[np.ndarray,
     is projected once, and stays in cache, for both its offsets and its
     signs."""
     rng = np.random.default_rng(seed)
-    pts = _float_points(poly.vertices)
+    pts = _float_points(poly)
     lines = np.empty((trials, 3))
     counts = np.empty(trials, dtype=np.int64)
     step = max(1, _SCREEN_ENTRIES // len(pts))

@@ -20,13 +20,12 @@ from .errors import ConstructionError, NotSimpleError, PreconditionError
 from .geometry import (
     COLLINEAR,
     ConvexPolygon,
-    Point,
     Polyline,
     _require_inside,
     _threshold,
+    _turn,
     _turns_both_ways,
     diameter,
-    orientation,
     perimeter,
     polyline_length,
     s_bound,
@@ -207,16 +206,17 @@ def prop1_check(poly: Polyline) -> Prop1Result:
 
 
 def _require_simple(poly: Polyline) -> None:
-    """Exact self-intersection scan; adjacency may share only its endpoint."""
-    verts = poly.vertices
-    n = len(verts)
+    """Exact self-intersection scan on the polyline's integer view; adjacency
+    may share only its endpoint."""
+    _, xs, ys = poly.grid
+    n = len(xs)
     segs = [(i, (i + 1) % n) for i in range(n)] if poly.closed else [
         (i, i + 1) for i in range(n - 1)
     ]
-    boxes = []
-    for a, b in segs:
-        (ax, ay), (bx, by) = verts[a].xy, verts[b].xy
-        boxes.append((min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
+    boxes = [
+        (min(xs[a], xs[b]), min(ys[a], ys[b]), max(xs[a], xs[b]), max(ys[a], ys[b]))
+        for a, b in segs
+    ]
     m = len(segs)
     for i in range(m):
         for j in range(i + 1, m):
@@ -225,41 +225,40 @@ def _require_simple(poly: Polyline) -> None:
             if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
                 continue
             if adjacent:
-                if _adjacent_overlap(verts, segs[i], segs[j]):
+                if _adjacent_overlap(xs, ys, segs[i], segs[j]):
                     raise NotSimpleError(f"spur at segments {i} and {j}")
-            elif _segments_touch(
-                verts[segs[i][0]], verts[segs[i][1]], verts[segs[j][0]], verts[segs[j][1]]
-            ):
+            elif _segments_touch(xs, ys, *segs[i], *segs[j]):
                 raise NotSimpleError(f"segments {i} and {j} intersect")
 
 
-def _adjacent_overlap(verts, si, sj) -> bool:
+def _adjacent_overlap(xs, ys, si, sj) -> bool:
     shared = si[1] if si[1] == sj[0] else si[0]
-    e1 = si[0] if si[1] == shared else si[1]
-    e2 = sj[1] if sj[0] == shared else sj[0]
-    v, a, b = verts[shared], verts[e1], verts[e2]
-    if orientation(v, a, b) != COLLINEAR:
+    a = si[0] if si[1] == shared else si[1]
+    b = sj[1] if sj[0] == shared else sj[0]
+    if _turn(xs, ys, shared, a, b) != COLLINEAR:
         return False
-    dot = (a.x - v.x) * (b.x - v.x) + (a.y - v.y) * (b.y - v.y)
+    dot = (xs[a] - xs[shared]) * (xs[b] - xs[shared]) + (ys[a] - ys[shared]) * (ys[b] - ys[shared])
     return dot > 0  # doubling back along the same ray
 
 
-def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
+def _segments_touch(xs, ys, a: int, b: int, c: int, d: int) -> bool:
+    """Whether the closed segments ab and cd, vertex indices of an integer
+    view, share a point."""
+    o1 = _turn(xs, ys, a, b, c)
+    o2 = _turn(xs, ys, a, b, d)
+    o3 = _turn(xs, ys, c, d, a)
+    o4 = _turn(xs, ys, c, d, b)
     if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
         return True
     for (p, q, r, o) in ((a, b, c, o1), (a, b, d, o2), (c, d, a, o3), (c, d, b, o4)):
-        if o == COLLINEAR and _on_segment(p, q, r):
+        if o == COLLINEAR and _on_segment(xs, ys, p, q, r):
             return True
     return False
 
 
-def _on_segment(p: Point, q: Point, r: Point) -> bool:
+def _on_segment(xs, ys, p: int, q: int, r: int) -> bool:
     """r collinear with pq assumed; is it within the closed segment box."""
     return (
-        min(p.x, q.x) <= r.x <= max(p.x, q.x)
-        and min(p.y, q.y) <= r.y <= max(p.y, q.y)
+        min(xs[p], xs[q]) <= xs[r] <= max(xs[p], xs[q])
+        and min(ys[p], ys[q]) <= ys[r] <= max(ys[p], ys[q])
     )

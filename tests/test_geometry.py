@@ -1,12 +1,10 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from konvex import geometry
 from konvex.errors import DegeneracyError, PreconditionError
 from konvex.geometry import (
     BOUNDARY,
@@ -67,7 +65,8 @@ class TestOrientation:
         assert orientation(r, p, q) == o
 
 
-# the filtered orientation against the sign of the exact cross product
+# orientation against the sign of the exact `Fraction` cross product, on the
+# inputs where a float evaluation of the determinant goes wrong or overflows
 grid = st.integers(-(10**11), 10**11).map(lambda k: Fraction(k, 10**9))
 grid_points = st.builds(Point, grid, grid)
 ratios = st.fractions(Fraction(-10), Fraction(10), max_denominator=10**6)
@@ -77,14 +76,6 @@ shifts = st.fractions(Fraction(-(10**8)), Fraction(10**8), max_denominator=10**3
 def exact_sign(p: Point, q: Point, r: Point) -> int:
     c = cross(p, q, r)
     return (c > 0) - (c < 0)
-
-
-def filtered(p: Point, q: Point, r: Point) -> tuple[int, bool]:
-    """orientation(p, q, r) on fresh points, and whether it called `cross`."""
-    p, q, r = (Point(v.x, v.y) for v in (p, q, r))
-    with mock.patch.object(geometry, "cross", wraps=geometry.cross) as spy:
-        side = orientation(p, q, r)
-    return side, spy.called
 
 
 def on_line(p: Point, q: Point, t: Fraction) -> Point:
@@ -98,20 +89,16 @@ def moved(points, scale, shift=(0, 0)):
 class TestFilteredOrientation:
     @given(grid_points, grid_points, grid_points, shifts, shifts)
     @settings(max_examples=300, deadline=None)
-    def test_grid_triples_skip_the_exact_path(self, p, q, r, sx, sy):
+    def test_grid_triples(self, p, q, r, sx, sy):
         for triple in ((p, q, r), moved((p, q, r), 1, (sx, sy))):
-            side, exact = filtered(*triple)
-            assert side == exact_sign(*triple)
-            size = max(max(abs(v.x), abs(v.y)) for v in triple) + 1
-            if abs(cross(*triple)) >= size * size / 2**40:  # far above the filter's bound
-                assert not exact
+            assert orientation(*triple) == exact_sign(*triple)
 
     @given(grid_points, grid_points, ratios, shifts, shifts)
     @settings(max_examples=200, deadline=None)
-    def test_collinear_triples_reach_the_exact_path(self, p, q, t, sx, sy):
+    def test_collinear_triples(self, p, q, t, sx, sy):
         r = on_line(p, q, t)
         for triple in ((p, q, r), moved((p, q, r), 1, (sx, sy))):
-            assert filtered(*triple) == (COLLINEAR, True)
+            assert orientation(*triple) == exact_sign(*triple) == COLLINEAR
 
     @given(
         grid_points, grid_points, ratios,
@@ -124,7 +111,7 @@ class TestFilteredOrientation:
         base = on_line(p, q, t)
         r = Point(base.x + a * delta, base.y + b * delta)
         for triple in ((p, q, r), moved((p, q, r), 1, (sx, sy))):
-            assert filtered(*triple)[0] == exact_sign(*triple)
+            assert orientation(*triple) == exact_sign(*triple)
 
     @given(
         grid_points, grid_points, ratios, st.integers(12, 30), st.integers(-3, 3),
@@ -138,20 +125,16 @@ class TestFilteredOrientation:
         r = Point(base.x + a * Fraction(1, 10**exponent), base.y)
         for triple in ((p, q, r), (p, q, base)):
             scaled = moved(triple, scale)
-            side, exact = filtered(*scaled)
-            assert side == exact_sign(*scaled)
-            if scale > 2**1024:  # no float view: decided by `cross` alone
-                assert exact
+            assert orientation(*scaled) == exact_sign(*scaled)
 
-    def test_subnormal_rounding_is_inside_the_bound(self):
+    def test_subnormal_rounding_is_decided_exactly(self):
         # float views round 1.4 * 2^-1074 down to 2^-1074, turning the exact
-        # det 3 * 1.4 * 2^-1074 - 2^-1072 > 0 into -2^-1074 in floats, far
-        # above any purely relative bound
+        # det 3 * 1.4 * 2^-1074 - 2^-1072 > 0 into -2^-1074 in floats
         tiny = Fraction(1, 2**1074)
         p, q = Point(0, 0), Point(3, Fraction(1, 2**600))
         r = Point(Fraction(1, 2**472), tiny * Fraction(14, 10))
         assert exact_sign(p, q, r) == LEFT
-        assert filtered(p, q, r) == (LEFT, True)
+        assert orientation(p, q, r) == LEFT
 
     def test_beyond_double_range_uses_exact_predicates(self):
         huge = Fraction(10) ** 400
@@ -340,7 +323,7 @@ class TestConvexHull:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2),
                               st.integers(-2, 2)), min_size=3, max_size=25))
-    def test_float_keyed_sort_gives_the_exact_hull(self, raw):
+    def test_tied_float_views_give_the_exact_hull(self, raw):
         # offsets of 1e-30 tie the float views of distinct coordinates
         tiny = Fraction(1, 10**30)
         pts = [Point(a + b * tiny, c + d * tiny) for a, b, c, d in raw]

@@ -342,10 +342,11 @@ class TestGridView:
             calls.append(vertices)
             return grid_of(vertices)
 
-        monkeypatch.setattr(geometry, "_grid_of", counting)
-        # the retraced half lifts top scores above the count: many replays
+        # the retraced half lifts top scores above the count: many replays;
+        # generating the ring computes the ring's own grid, so it comes first
         verts = list(random_star_ring(np.random.default_rng(0), SQUARE, n_vertices=12).vertices)
         poly = Polyline(tuple(verts + verts[:1] + verts[1:7]))
+        monkeypatch.setattr(geometry, "_grid_of", counting)
         max_line_multiplicity(poly)
         assert len(calls) == 1
         line_multiplicity(Line(1, 1, 1), poly)

@@ -234,8 +234,8 @@ class TestCli:
     def test_coordinates_beyond_double_range_exit_1(
         self, tmp_path, square_file, ring_file, capsys, argv
     ):
-        # the triangle is strictly convex, which only the exact fallback of
-        # the filtered orientation can confirm; metric work then refuses it
+        # the triangle is strictly convex, which the int predicates confirm
+        # with no float view; metric work then refuses it
         files = {"huge_body": "0 0\n1e400 0\n0 1\n", "huge_curve": "open\n0 0\n1e400 1\n"}
         for name, text in files.items():
             (tmp_path / f"{name}.txt").write_text(text)

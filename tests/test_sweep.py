@@ -283,10 +283,29 @@ class TestRanks:
     def test_equal_float_views_are_ranked_exactly(self, raw):
         # a + b·1e-30 rounds to the float view of a whatever b is
         values = [a + Fraction(b, 10**30) for a, b in raw]
-        views = np.array([float(v) for v in values])
-        ranks = stabbing._ranks(values, views)
+        grid = [v * 10**30 for v in values]  # the grid ints of the values
+        assert all(v.denominator == 1 for v in grid)
         distinct = sorted(set(values))
-        assert ranks.tolist() == [distinct.index(v) for v in values]
+        assert stabbing._ranks([int(v) for v in grid]) == [distinct.index(v) for v in values]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), min_size=2, max_size=12),
+           st.sampled_from([1, 7, 10**9]))
+    def test_each_curve_is_ranked_on_its_own_grid(self, raw, denominator):
+        # two curves on different grids in one batch: each row's ranks are
+        # the exact order of its own curve's coordinates
+        tiny = Fraction(1, 10**30)
+        first = Polyline(tuple(Point(a + b * tiny, k) for k, (a, b) in enumerate(raw)))
+        second = Polyline(
+            tuple(Point(k, Fraction(a, denominator) + b * tiny) for k, (a, b) in enumerate(raw))
+        )
+        sweep = stabbing._Sweep([first, second])
+        for curve, poly in enumerate((first, second)):
+            n = len(poly.vertices)
+            for axis, ranks in (("x", sweep.rank_x), ("y", sweep.rank_y)):
+                values = [getattr(v, axis) for v in poly.vertices]
+                distinct = sorted(set(values))
+                assert ranks[curve, :n].tolist() == [distinct.index(v) for v in values]
 
 
 def exact_counts(poly: Polyline, lines: np.ndarray) -> np.ndarray:
@@ -334,7 +353,7 @@ class TestOracleScreen:
         rng = np.random.default_rng([45, seed])
         poly = grid_polyline(rng, 5, 12, closed=bool(seed % 2))
         lines = lines_through_vertices(poly, rng, 40)
-        pts = stabbing._float_points(poly.vertices)
+        pts = stabbing._float_points(poly)
         proj = lines[:, :1] * pts[None, :, 0] + lines[:, 1:2] * pts[None, :, 1]
         assert np.array_equal(stabbing._screen(poly, pts, lines, proj), exact_counts(poly, lines))
 
