@@ -1,17 +1,21 @@
 """Exact planar primitives and convex-polygon metrics.
 
-Coordinates are stored as exact rationals (`fractions.Fraction`), so the
-sign predicates are exact: no epsilons, no tie-breaking heuristics.
-Metric quantities (lengths, widths, angles) are computed in double
-precision from float views of the same coordinates; a point converts its
-coordinates once, on first use, and refuses coordinates beyond double
-range with PreconditionError.
+Points and polygons store their coordinates as exact rationals
+(`fractions.Fraction`).  A polyline's exact state is its integer view
+(D, X, Y) below, computed from its points or given directly as ints
+(`Polyline.from_grid`); a polyline given as ints makes its points only
+when something reads them.  The sign predicates are exact: no epsilons,
+no tie-breaking heuristics.  Metric quantities (lengths, widths, angles)
+are computed in double precision from float views of the same
+coordinates; a point, and a polyline, converts its coordinates once, on
+first use, and refuses coordinates beyond double range with
+PreconditionError.
 
 Every sign predicate (orientation, point-in-polygon, strict convexity,
 the convex hull's turns) is the sign of a Python int: it runs on the
 integer view of its points, D, the least common multiple of all their
 coordinate denominators, and the integer coordinates X = x·D, Y = y·D.
-A polyline and a convex polygon compute that view once, on first use.
+A polyline and a convex polygon hold that view once computed.
 Every incidence of a rational line with a polyline, and every comparison
 of the rotating calipers on a polygon, is likewise a sign or a comparison
 of ints, exact with no normalisation, no error bound and no float filter
@@ -25,7 +29,7 @@ as their exact binary value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -116,11 +120,6 @@ class Segment:
         return alpha
 
 
-def cross(o: Point, a: Point, b: Point) -> Fraction:
-    """Exact cross product (a - o) x (b - o); twice the signed triangle area."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Exact turn direction of the triple: LEFT, RIGHT or COLLINEAR."""
     _, xs, ys = _grid_of((p, q, r))
@@ -142,33 +141,90 @@ def dist_sq(a: Point, b: Point) -> Fraction:
     return dx * dx + dy * dy
 
 
-@dataclass(frozen=True)
+def _require_distinct(verts: Sequence, closed: bool) -> None:
+    """Refuse fewer than 2 vertices, a vertex equal to the next, and a
+    closed ring that stores its first vertex again; vertices are Points or
+    int pairs."""
+    if len(verts) < 2:
+        raise PreconditionError("a polyline needs at least 2 vertices")
+    for u, v in zip(verts, verts[1:]):
+        if u == v:
+            raise PreconditionError("consecutive polyline vertices must be distinct")
+    if closed and verts[0] == verts[-1]:
+        raise PreconditionError("closed polyline must not repeat its first vertex in storage")
+
+
 class Polyline:
     """A broken line: ordered vertices, open or closed.
 
     For closed polylines the closing segment is implicit; the first vertex
     is not repeated in storage.  Consecutive vertices must be distinct.
+
+    Its exact state is the integer view `grid`, (D, X, Y) with the vertices
+    at (X/D, Y/D) and gcd(D, X, Y) = 1, so equal vertex tuples are equal
+    grids and the reverse.  Equality and hashing compare (closed, grid).  A
+    polyline built from its points keeps them and computes the grid on
+    first use; one built by `from_grid` makes its points only when
+    `vertices` is read.  Immutable.
     """
 
-    vertices: tuple[Point, ...]
-    closed: bool = False
-    _grid = None  # not a field: the integer view, stored by `grid` on first use
+    __slots__ = ("closed", "_vertices", "_grid", "_floats")
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise PreconditionError("a polyline needs at least 2 vertices")
-        for u, v in zip(verts, verts[1:]):
-            if u == v:
-                raise PreconditionError("consecutive polyline vertices must be distinct")
-        if self.closed and verts[0] == verts[-1]:
-            raise PreconditionError(
-                "closed polyline must not repeat its first vertex in storage"
-            )
+    def __init__(self, vertices: Sequence[Point], closed: bool = False):
+        verts = tuple(vertices)
+        _require_distinct(verts, closed)
+        self._set(closed, verts, None)
+
+    @classmethod
+    def from_grid(
+        cls, den: int, xs: Sequence[int], ys: Sequence[int], closed: bool = False
+    ) -> Polyline:
+        """The polyline with vertices (xs[i]/den, ys[i]/den) for ints den > 0,
+        xs and ys, held as its reduced integer view; no Point is made."""
+        if den < 1 or len(xs) != len(ys):
+            raise PreconditionError("a grid needs a positive denominator and one y per x")
+        g = math.gcd(den, *xs, *ys)
+        if g > 1:
+            den, xs, ys = den // g, [x // g for x in xs], [y // g for y in ys]
+        _require_distinct(list(zip(xs, ys)), closed)
+        poly = object.__new__(cls)
+        poly._set(closed, None, (den, tuple(xs), tuple(ys)))
+        return poly
+
+    def _set(self, closed: bool, vertices, grid) -> None:
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_floats", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        verts = self._vertices
+        if verts is None:
+            d, xs, ys = self._grid
+            verts = tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in zip(xs, ys))
+            object.__setattr__(self, "_vertices", verts)
+        return verts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.closed == other.closed and self.grid == other.grid
+
+    def __hash__(self) -> int:
+        return hash((self.closed, self.grid))
+
+    def __repr__(self) -> str:
+        return f"Polyline(vertices={self.vertices!r}, closed={self.closed!r})"
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._grid[1] if self._vertices is None else self._vertices)
 
     def segments(self) -> Iterator[Segment]:
         verts = self.vertices
@@ -177,13 +233,23 @@ class Polyline:
         if self.closed:
             yield Segment(verts[-1], verts[0])
 
-    def float_vertices(self) -> list[tuple[float, float]]:
-        return [v.xy for v in self.vertices]
+    def float_vertices(self) -> tuple[tuple[float, float], ...]:
+        """Double-precision vertices (X/D, Y/D), computed once.  Int true
+        division rounds correctly, so these are the bits of `Point.xy`."""
+        floats = self._floats
+        if floats is None:
+            d, xs, ys = self.grid
+            try:
+                floats = tuple((x / d, y / d) for x, y in zip(xs, ys))
+            except OverflowError:
+                raise PreconditionError("a coordinate lies beyond double range") from None
+            object.__setattr__(self, "_floats", floats)
+        return floats
 
     @property
     def grid(self) -> Grid:
         """Integer view (D, X, Y) of the vertices, computed once."""
-        return _stored_grid(self, self.vertices)
+        return _stored_grid(self, self._vertices)
 
 
 Grid = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -198,8 +264,7 @@ def _grid_of(vertices: Sequence[Point]) -> Grid:
 
 
 def _stored_grid(owner, vertices: Sequence[Point]) -> Grid:
-    """The integer view of `vertices`, stored on `owner` outside its
-    dataclass fields on first use."""
+    """The integer view of `vertices`, stored on `owner` on first use."""
     grid = owner._grid
     if grid is None:
         grid = _grid_of(vertices)
@@ -208,8 +273,11 @@ def _stored_grid(owner, vertices: Sequence[Point]) -> Grid:
 
 
 def polyline_length(poly: Polyline) -> float:
-    """Total Euclidean length; closed polylines include the closing segment."""
-    return sum(seg.length() for seg in poly.segments())
+    """Total Euclidean length; closed polylines include the closing segment,
+    summed last."""
+    pts = poly.float_vertices()
+    ends = pts[1:] + pts[:1] if poly.closed else pts[1:]
+    return sum(map(math.dist, pts, ends))
 
 
 @dataclass(frozen=True)
@@ -360,23 +428,6 @@ def s_bound(body: ConvexPolygon, r: int) -> float:
     return _threshold(r, perimeter(body), diameter(body)[0] if r % 2 else 0.0)
 
 
-def diameter_bruteforce(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
-    """O(n^2) exact pair scan; the independent oracle for diameter()."""
-    ring = polygon.ring
-    best_d2 = Fraction(-1)
-    best = (0, 1)
-    for i in range(len(ring)):
-        for j in range(i + 1, len(ring)):
-            d2 = dist_sq(ring[i], ring[j])
-            if d2 > best_d2:
-                best_d2 = d2
-                best = (i, j)
-    i, j = best
-    return (
-        _root(best_d2.numerator, best_d2.denominator, ring[i], ring[j]), ring[i], ring[j]
-    )
-
-
 def width(polygon: ConvexPolygon, alpha: float) -> float:
     """Length of the projection of the polygon onto the direction-alpha line.
 
@@ -392,11 +443,22 @@ def contains(polygon: ConvexPolygon, p: Point) -> str:
 
     The ring's view (D, X, Y) and the point's own view (q, x, y) meet on the
     common scale D·q: the ring at X·q, Y·q and the point at x·D, y·D."""
-    d, xs, ys = polygon.grid
     q, (x,), (y,) = _grid_of((p,))
-    n = len(xs)
-    xs = [v * q for v in xs] + [x * d]
-    ys = [v * q for v in ys] + [y * d]
+    d, xs, ys = _scaled_ring(polygon, q)
+    xs[-1], ys[-1] = x * d, y * d
+    return _classify(xs, ys)
+
+
+def _scaled_ring(polygon: ConvexPolygon, q: int) -> tuple[int, list[int], list[int]]:
+    """D and the ring's integer view times q, with one free slot at the end
+    for a query point, which goes there times D."""
+    d, xs, ys = polygon.grid
+    return d, [v * q for v in xs] + [0], [v * q for v in ys] + [0]
+
+
+def _classify(xs: list[int], ys: list[int]) -> str:
+    """INTERIOR, BOUNDARY or EXTERIOR of the last point of a scaled ring."""
+    n = len(xs) - 1
     on_edge = False
     for i in range(n):
         side = _turn(xs, ys, i, (i + 1) % n, n)
@@ -416,8 +478,13 @@ def _turns_both_ways(ring: Polyline) -> bool:
 
 
 def _require_inside(poly: Polyline, body: ConvexPolygon) -> None:
-    for v in poly.vertices:
-        if contains(body, v) == EXTERIOR:
+    """Refuse a polyline with a vertex outside the body, on the polyline's
+    own integer view: the ring is scaled once per call."""
+    q, pxs, pys = poly.grid
+    d, xs, ys = _scaled_ring(body, q)
+    for x, y in zip(pxs, pys):
+        xs[-1], ys[-1] = x * d, y * d
+        if _classify(xs, ys) == EXTERIOR:
             raise PreconditionError("polyline is not contained in the body")
 
 
@@ -450,30 +517,13 @@ def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
     return ConvexPolygon(tuple(points[i] for i in ring))
 
 
-def rigid_motion(
-    p: Point, cos_t: Coordinate, sin_t: Coordinate, shift: tuple[Coordinate, Coordinate]
-) -> Point:
-    """Rotate by an exact rational rotation (cos_t^2 + sin_t^2 must be 1) then translate.
-
-    Rational rotations (e.g. cos 3/5, sin 4/5) preserve all exact predicates
-    and all distances; used by tests for motion-invariance checks.
-    """
-    c = to_fraction(cos_t)
-    s = to_fraction(sin_t)
-    if c * c + s * s != 1:
-        raise PreconditionError("not an exact rotation: cos^2 + sin^2 != 1")
-    dx = to_fraction(shift[0])
-    dy = to_fraction(shift[1])
-    return Point(c * p.x - s * p.y + dx, s * p.x + c * p.y + dy)
-
-
 @dataclass(frozen=True)
 class Line:
     """Oriented straight line nx*x + ny*y = c with exact rational coefficients.
 
     The normal (nx, ny) is generally not unit length (unit normals of
     rational lines are irrational); unit() gives a normalized
-    double-precision view.  side_of() is exact.
+    double-precision view.
     """
 
     nx: Fraction
@@ -496,12 +546,6 @@ class Line:
         ny = q.x - p.x
         return cls(nx, ny, nx * p.x + ny * p.y)
 
-    @classmethod
-    def from_direction_offset(cls, alpha: float, offset: float) -> "Line":
-        """Points x with <(cos a, sin a), x> = offset: the line perpendicular
-        to direction alpha at signed distance offset along it."""
-        return cls(Fraction(math.cos(alpha)), Fraction(math.sin(alpha)), Fraction(offset))
-
     def unit(self) -> tuple[float, float, float]:
         """(nx, ny, c) scaled to a unit normal, in doubles.
 
@@ -517,18 +561,6 @@ class Line:
             raise PreconditionError("a line offset lies beyond double range") from None
         scale = math.hypot(nx, ny)
         return (nx / scale, ny / scale, c / scale)
-
-    def side_of(self, p: Point) -> int:
-        """Exact sign of nx*x + ny*y - c at p: LEFT, RIGHT or COLLINEAR (on line)."""
-        v = self.nx * p.x + self.ny * p.y - self.c
-        if v > 0:
-            return LEFT
-        if v < 0:
-            return RIGHT
-        return COLLINEAR
-
-    def value_at(self, p: Point) -> Fraction:
-        return self.nx * p.x + self.ny * p.y - self.c
 
     def along(self, p: Point) -> Fraction:
         """Exact coordinate of p along the line direction (ny, -nx).

@@ -1,7 +1,10 @@
 """Seeded random geometry generators used by the falsification harness and tests.
 
 All outputs are snapped to a 1e-9 decimal grid so files stay readable and
-every generated coordinate is an exact short decimal.  Generators accept an
+every generated coordinate is an exact short decimal.  Walks and star rings
+keep each vertex as a pair of ints on that grid, (round(x·GRID),
+round(y·GRID)), from the draw to the returned `Polyline.from_grid`: redraws
+compare ints, and no Fraction or Point is made.  Generators accept an
 integer seed or a numpy Generator and are deterministic for a fixed seed.
 """
 
@@ -140,10 +143,11 @@ def random_walk_polyline(
         raise PreconditionError("a closed walk needs at least 3 segments")
     rng = _rng(seed_or_rng)
     fan = _fan(polygon)
-    verts: list[Point] = []
+    verts: list[tuple[int, int]] = []  # on the grid, times GRID
     while len(verts) < n_segments + 1:
         for _ in range(64):
-            p = snap_point(*_sample_fan(rng, fan))
+            x, y = _sample_fan(rng, fan)
+            p = (round(x * GRID), round(y * GRID))
             if verts and p == verts[-1]:
                 continue
             if closed and len(verts) == n_segments and p == verts[0]:
@@ -154,7 +158,8 @@ def random_walk_polyline(
         verts.append(p)
     if closed:
         verts = verts[:-1]
-    return Polyline(tuple(verts), closed=closed)
+    xs, ys = zip(*verts)
+    return Polyline.from_grid(GRID, xs, ys, closed=closed)
 
 
 def _outward_edges(polygon: ConvexPolygon) -> list[tuple[float, float, float, float]]:
@@ -223,8 +228,8 @@ def random_star_ring(
             snapped.append((round((cx + r * u[0]) * GRID), round((cy + r * u[1]) * GRID)))
         if len(set(snapped)) != len(snapped):
             continue
-        verts = tuple(Point(Fraction(x, GRID), Fraction(y, GRID)) for x, y in snapped)
-        ring = Polyline(verts, closed=True)
+        xs, ys = zip(*snapped)
+        ring = Polyline.from_grid(GRID, xs, ys, closed=True)
         if spiky and not _turns_both_ways(ring):
             continue
         return ring

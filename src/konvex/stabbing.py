@@ -23,7 +23,8 @@ crossings and zero runs of its sign vector, the `_count_from_signs`
 formula: an upper bound on its component count, tight unless intersection
 points coincide.
 
-Exactness contract: every reported count is produced by `line_multiplicity`,
+Exactness contract: every reported count is produced by `line_multiplicity`
+(or its integer core `_grid_multiplicity`, given the line's integer lift),
 which decides all incidences exactly in Python ints on the polyline's
 integer grid (`Polyline.grid`: every coordinate times D, the lcm of their
 denominators).  A rational line is scaled to integer coefficients by the
@@ -33,12 +34,12 @@ edge (i, j) sits at (vᵢ·tⱼ - vⱼ·tᵢ)/(vᵢ - vⱼ), compared by cross
 multiplication; a component's float ends are int true divisions, which
 round correctly, exactly as float() of the Fraction would.  The sweep and
 the oracle read a polyline only through that grid.  Their float view is
-X/D, an int true division with the same bits as `Point.xy`.  The sweep
-ranks each curve's coordinates on its grid ints, orders directions by
-float angle and re-decides every pair of angles that its rounding-error
-band cannot separate with an int cross product of grid differences, so
-its intervals and scores are exact, and its witnesses are rational lines
-built from grid ints.  The random oracle screens its float lines in
+the polyline's own, X/D, an int true division with the same bits as
+`Point.xy`.  The sweep ranks each curve's coordinates on its grid ints,
+orders directions by float angle and re-decides every pair of angles that
+its rounding-error band cannot separate with an int cross product of grid
+differences, so its intervals and scores are exact, and its witnesses are
+rational lines built from grid ints.  The random oracle screens its float lines in
 cache-sized blocks: one projection of the vertices per block gives both
 the lines' offsets and the vertices' signs, a line whose vertices all
 clear the rounding band counts its sign changes directly, and only banded
@@ -63,7 +64,9 @@ curve more than r times.  A curve whose every score is at most r is within
 r with no replay, since the scores bound every line's count; any other
 curve is replayed in descending score order until a count reaches r + 1 or
 the scores left cannot, so every count above r that it acts on is an exact
-replay.
+replay.  Those replays need only counts: they decide on the candidate's
+integer line directly and build no rational `Line`, so falsify judges its
+grid-born curves with no `Fraction` at all.
 """
 
 from __future__ import annotations
@@ -133,13 +136,13 @@ class Component:
 @dataclass(frozen=True)
 class MultiplicityReport:
     count: int
-    witness: Line
+    witness: Line | None  # None only in the count-only replays of `_exceeds`
     method: str
     components: tuple[Component, ...] = field(default=())
 
 
 def _segment_endpoints(poly: Polyline) -> Iterator[tuple[int, int, int]]:
-    n = len(poly.vertices)
+    n = len(poly)
     for k in range(n - 1):
         yield k, k, k + 1
     if poly.closed:
@@ -179,8 +182,20 @@ def line_multiplicity(line: Line, poly: Polyline, method: str = METHOD_DIRECT) -
     ints on the polyline's integer grid; pieces that touch or overlap there
     are merged into one component.
     """
+    coefs = _integer_line((line.nx, line.ny, line.c), poly.grid[0])
+    return _grid_multiplicity(poly, coefs, line, method)
+
+
+def _grid_multiplicity(
+    poly: Polyline, coefs: tuple[int, int, int], witness: Line | None, method: str
+) -> MultiplicityReport:
+    """`line_multiplicity` of the line a·X + b·Y = c on the polyline's
+    integer grid, for coefs (a, b, c), reported with `witness`: the rational
+    line of which the coefs are a positive multiple, or None when only the
+    count and the components are wanted.  Every decision and component end
+    is invariant under that multiple."""
     d, xs, ys = poly.grid
-    a, b, c = _integer_line((line.nx, line.ny, line.c), d)
+    a, b, c = coefs
     values = [a * x + b * y - c for x, y in zip(xs, ys)]
     along = [b * x - a * y for x, y in zip(xs, ys)]
 
@@ -228,7 +243,7 @@ def line_multiplicity(line: Line, poly: Polyline, method: str = METHOD_DIRECT) -
             Component(tuple(sorted(cur[4])), _float_point(cur[2]), _float_point(cur[3]))
         )
 
-    return MultiplicityReport(len(components), line, method, tuple(components))
+    return MultiplicityReport(len(components), witness, method, tuple(components))
 
 
 def proper_crossings(line: Line, poly: Polyline) -> int:
@@ -257,14 +272,11 @@ def proper_crossings(line: Line, poly: Polyline) -> int:
 
 
 def _float_points(poly: Polyline) -> np.ndarray:
-    """Float view (X/D, Y/D) of the polyline's integer view, refused outside
-    ±_COORD_LIMIT.  Int true division rounds correctly, so these are the
-    bits of `Point.xy`."""
-    d, xs, ys = poly.grid
+    """The polyline's float view (X/D, Y/D), refused outside ±_COORD_LIMIT."""
     refused = PreconditionError("vertex coordinates must lie within ±2^500")
     try:
-        pts = np.array([(x / d, y / d) for x, y in zip(xs, ys)], dtype=np.float64)
-    except OverflowError:
+        pts = np.array(poly.float_vertices(), dtype=np.float64)
+    except PreconditionError:
         raise refused from None
     if not np.all(np.abs(pts) <= _COORD_LIMIT):
         raise refused
@@ -335,7 +347,7 @@ class _Sweep:
 
     def __init__(self, polys: Sequence[Polyline]):
         self.polys = polys
-        sizes = np.array([len(poly.vertices) for poly in polys])
+        sizes = np.array([len(poly) for poly in polys])
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         pts = np.concatenate([_float_points(poly) for poly in polys])
         # rows compare only the vertices of their own curve, so each curve is
@@ -508,10 +520,11 @@ class _Sweep:
             yield curve, slice(lo - rows.start, hi - rows.start)
 
     def replay(
-        self, rows: slice, scores: np.ndarray, rep: np.ndarray, flat: int
+        self, rows: slice, scores: np.ndarray, rep: np.ndarray, flat: int, witness: bool = True
     ) -> MultiplicityReport:
         """Exact report of a rational witness line of the candidate at index
-        `flat` of a chunk's scores."""
+        `flat` of a chunk's scores; with witness=False the report holds no
+        line (None), and no Fraction is made."""
         row, k, kind = np.unravel_index(flat, scores.shape)
         curve, pivot = int(self.row_curve[rows.start + row]), int(self.row_pivot[rows.start + row])
         score, a, b = int(scores[row, k, kind]), rep[row, k], rep[row, k + 1]
@@ -533,23 +546,29 @@ class _Sweep:
                 wx, wy = ax - abs(ax) - ay, ay
             else:  # the only direction is horizontal; the interval is (0, π)
                 wx, wy = 0, d
-        # n·(V - P) = cross(w, V - P) on the grid: positive on the left; the
-        # curve's line is n/d·(x, y) = c/d²
+        # n·(V - P) = cross(w, V - P) on the grid: positive on the left
         nx, ny = -wy, wx
         c = nx * xs[pivot] + ny * ys[pivot]
-        normal = (Fraction(nx, d), Fraction(ny, d))
+
+        def report(scale: int, offset: int) -> MultiplicityReport:
+            # the line n·(X, Y) = offset/scale on the grid; the curve's line
+            # is n/d·(x, y) = offset/(d²·scale)
+            if witness:
+                line = Line(Fraction(nx, d), Fraction(ny, d), Fraction(offset, d * d * scale))
+                return line_multiplicity(line, poly, METHOD_SWEEP)
+            return _grid_multiplicity(poly, (nx * scale, ny * scale, offset), None, METHOD_SWEEP)
+
         if kind in (_EVENT, _THROUGH):
-            return line_multiplicity(Line(*normal, Fraction(c, d * d)), poly, METHOD_SWEEP)
+            return report(1, c)
         pivots = self.row_pivot[self.row_start[curve] : self.row_start[curve + 1]]
         gap = min(abs(nx * xs[i] + ny * ys[i] - c) for i in pivots.tolist() if i != pivot)
         side = 1 if kind == _LEFT else -1
         for tries in range(1, _GENERIC_TRIES + 1):
-            # c/d² - side·gap/(d²·2^tries): the line moved a 2^tries-th of the
-            # way to the nearest other pivot
-            line = Line(*normal, Fraction(c * 2**tries - side * gap, d * d * 2**tries))
-            report = line_multiplicity(line, poly, METHOD_SWEEP)
-            if report.count == score or not _accidental(report, poly):
-                return report
+            # c - side·gap/2^tries: the line moved a 2^tries-th of the way to
+            # the nearest other pivot
+            found = report(2**tries, c * 2**tries - side * gap)
+            if found.count == score or not _accidental(found, poly):
+                return found
         raise VerificationError("no witness line avoids the curve's self-intersections")
 
 
@@ -576,12 +595,13 @@ def _replay_descending(
 
 
 def _sweep_best(
-    polys: Sequence[Polyline], enough: float, floor: int = 0
+    polys: Sequence[Polyline], enough: float, floor: int = 0, witness: bool = True
 ) -> list[MultiplicityReport | None]:
     """Per polyline, the best exact replay of one rotational sweep of the
     batch, chunk by chunk, cut short once a count reaches `enough`.  A
     polyline whose scores all stay at or below `floor` is not replayed
-    (None): its scores already bound every line's count by `floor`."""
+    (None): its scores already bound every line's count by `floor`.  With
+    witness=False the reports hold counts and components but no line."""
     sweep = _Sweep(polys)
     best: list[MultiplicityReport | None] = [None] * len(polys)
     for rows, scores, rep in sweep.scored_chunks():
@@ -591,7 +611,10 @@ def _sweep_best(
                 continue
             offset = part.start * scores[0].size
             best[curve] = _replay_descending(
-                mine, lambda flat: sweep.replay(rows, scores, rep, offset + flat), found, enough
+                mine,
+                lambda flat: sweep.replay(rows, scores, rep, offset + flat, witness),
+                found,
+                enough,
             )
         if all(found is not None and found.count >= enough for found in best):
             break
@@ -605,8 +628,8 @@ def _batches(polys: Sequence[Polyline]) -> Iterator[list[int]]:
     bounds a batch's memory; a polyline alone is chunked as in any sweep."""
     batch: list[int] = []
     rows = 0
-    for i in sorted(range(len(polys)), key=lambda i: len(polys[i].vertices)):
-        n = len(polys[i].vertices)
+    for i in sorted(range(len(polys)), key=lambda i: len(polys[i])):
+        n = len(polys[i])
         if batch and (rows + n) * n > _BATCH_ENTRIES:
             yield batch
             batch, rows = [], 0
@@ -623,7 +646,8 @@ def _exceeds(polys: Sequence[Polyline], r: int) -> list[bool]:
     r + 1."""
     over = [False] * len(polys)
     for batch in _batches(polys):
-        for i, report in zip(batch, _sweep_best([polys[i] for i in batch], r + 1, r)):
+        reports = _sweep_best([polys[i] for i in batch], r + 1, r, witness=False)
+        for i, report in zip(batch, reports):
             over[i] = report is not None and report.count > r
     return over
 

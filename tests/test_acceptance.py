@@ -15,11 +15,9 @@ from konvex.builder import ConstructionParams, build_curve
 from konvex.geometry import (
     EXTERIOR,
     ConvexPolygon,
-    Line,
     Point,
     contains,
     diameter,
-    diameter_bruteforce,
     perimeter,
     polyline_length,
 )
@@ -36,6 +34,8 @@ from konvex.stabbing import (
     random_line_oracle,
 )
 from konvex.verifier import falsify, prop1_check, s_bound
+
+from fraction_oracle import diameter_bruteforce, line_from_direction_offset, side_of
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 
@@ -147,8 +147,8 @@ def test_criterion_6_parity_lemma():
         poly = random_walk_polyline(rng, SQUARE, int(rng.integers(3, 21)))
         theta = rng.uniform(0.0, math.pi)
         offset = rng.uniform(-0.3, 1.3)
-        line = Line.from_direction_offset(theta, offset)
-        sides = [line.side_of(v) for v in poly.vertices]
+        line = line_from_direction_offset(theta, offset)
+        sides = [side_of(line, v) for v in poly.vertices]
         if 0 in sides:
             continue
         if sides[0] != sides[-1]:

@@ -15,11 +15,10 @@ from konvex.geometry import (
     ConvexPolygon,
     Point,
     convex_hull,
-    cross,
     diameter,
-    diameter_bruteforce,
-    rigid_motion,
 )
+
+from fraction_oracle import cross, diameter_bruteforce, rigid_motion
 
 
 def fraction_antipodal_pairs(ring):

@@ -27,9 +27,10 @@ from konvex.geometry import (
     _turns_both_ways,
     contains,
     convex_hull,
-    cross,
 )
 from konvex.verifier import _require_simple
+
+from fraction_oracle import cross
 
 # 1e-315 is subnormal in double precision and 10^400 beyond its range
 SCALES = [

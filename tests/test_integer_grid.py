@@ -21,6 +21,8 @@ from konvex.stabbing import (
     proper_crossings,
 )
 
+from fraction_oracle import side_of, value_at
+
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 
 
@@ -33,7 +35,7 @@ def fraction_line_multiplicity(line: Line, poly: Polyline, method: str = "direct
     """Component count of line ∩ polyline with every piece located by
     `Fraction` arithmetic on the line's rational chart."""
     verts = poly.vertices
-    values = [line.value_at(v) for v in verts]
+    values = [value_at(line, v) for v in verts]
     sides = [(value > 0) - (value < 0) for value in values]
 
     pieces = []
@@ -78,7 +80,7 @@ def fraction_line_multiplicity(line: Line, poly: Polyline, method: str = "direct
 
 
 def fraction_proper_crossings(line: Line, poly: Polyline) -> int:
-    sides = [line.side_of(v) for v in poly.vertices]
+    sides = [side_of(line, v) for v in poly.vertices]
     if any(s == 0 for s in sides):
         raise PreconditionError("line passes through a polyline vertex")
     flips = sum(1 for a, b in zip(sides, sides[1:]) if a != b)

@@ -12,7 +12,6 @@ from konvex.geometry import (
     Point,
     Polyline,
     polyline_length,
-    rigid_motion,
     s_bound,
     width,
 )
@@ -36,6 +35,8 @@ from konvex.stabbing import (
     proper_crossings,
     random_line_oracle,
 )
+
+from fraction_oracle import line_from_direction_offset, rigid_motion, side_of
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 
@@ -228,11 +229,11 @@ class TestProperCrossings:
         while found < 3:
             theta = rng.uniform(0, math.pi)
             offset = rng.uniform(-0.2, 1.2)
-            line = Line.from_direction_offset(theta, offset)
-            sides = [line.side_of(v) for v in poly.vertices]
+            line = line_from_direction_offset(theta, offset)
+            sides = [side_of(line, v) for v in poly.vertices]
             if 0 in sides:
                 continue
-            if line.side_of(first) != line.side_of(last):
+            if side_of(line, first) != side_of(line, last):
                 continue  # line meets the endpoint chord
             assert proper_crossings(line, poly) % 2 == 0
             found += 1

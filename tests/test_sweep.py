@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from konvex import stabbing
 from konvex.builder import ConstructionParams, build_curve
 from konvex.errors import PreconditionError
-from konvex.geometry import ConvexPolygon, Line, Point, Polyline, rigid_motion
+from konvex.geometry import ConvexPolygon, Line, Point, Polyline
 from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
 from konvex.stabbing import line_multiplicity, max_line_multiplicity, random_line_oracle
+
+from fraction_oracle import rigid_motion, side_of
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 
@@ -170,7 +172,7 @@ class TestScores:
             for rows, scores, rep in sweep.scored_chunks():
                 for flat in np.flatnonzero(scores >= 0):
                     report = sweep.replay(rows, scores, rep, int(flat))
-                    signs = np.array([[report.witness.side_of(v) for v in poly.vertices]], np.int8)
+                    signs = np.array([[side_of(report.witness, v) for v in poly.vertices]], np.int8)
                     assert stabbing._count_from_signs(signs, poly.closed)[0] == scores.flat[flat]
                     assert report.count <= scores.flat[flat]
 
@@ -312,7 +314,7 @@ def exact_counts(poly: Polyline, lines: np.ndarray) -> np.ndarray:
     """Reference for the oracle's screen: the sign formula on exact sides of
     each float line's rational lift."""
     signs = [
-        [Line(*(Fraction(float(v)) for v in row)).side_of(p) for p in poly.vertices]
+        [side_of(Line(*(Fraction(float(v)) for v in row)), p) for p in poly.vertices]
         for row in lines
     ]
     return stabbing._count_from_signs(np.array(signs, np.int8), poly.closed)

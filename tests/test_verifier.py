@@ -103,13 +103,14 @@ class TestCheckUpperBound:
         tail = (Point("0.1", "0.05"),) if status == "stabbed" else ()
         poly = Polyline(SQUARE.ring + (Point(0, 0),) + tail)
         calls = []
-        exact = geometry.contains
+        exact = geometry._classify
 
-        def counting(body, p):
-            calls.append(p)
-            return exact(body, p)
+        # one classification of a scaled ring's last point per vertex scanned
+        def counting(xs, ys):
+            calls.append((xs[-1], ys[-1]))
+            return exact(xs, ys)
 
-        monkeypatch.setattr(geometry, "contains", counting)
+        monkeypatch.setattr(geometry, "_classify", counting)
         report = check_upper_bound(poly, SQUARE, 2)
         assert report.evidence["status"] == status
         assert len(calls) == len(poly.vertices)
