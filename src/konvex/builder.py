@@ -71,8 +71,8 @@ class ConstructionParams:
     def __post_init__(self):
         if self.r < 2:
             raise PreconditionError("multiplicity budget r must be at least 2")
-        if not self.eps > 0:
-            raise PreconditionError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise PreconditionError("eps must be positive and finite")
         if self.m < _MIN_SAMPLES:
             raise PreconditionError(f"need at least {_MIN_SAMPLES} samples per loop")
         if self.max_retries < 1:

@@ -136,28 +136,28 @@ def random_walk_polyline(
 ) -> Polyline:
     """Chain of uniform interior points; stays inside by convexity.
 
-    A snapped point equal to its predecessor (or, closing a ring, to the
-    first vertex) is redrawn, at most 64 times in a row.
+    An open walk draws n_segments + 1 vertices, a closed one n_segments.
+    A snapped point equal to its predecessor (or, as a ring's last vertex,
+    to the first) is redrawn, at most 64 times in a row.
     """
     if closed and n_segments < 3:
         raise PreconditionError("a closed walk needs at least 3 segments")
     rng = _rng(seed_or_rng)
     fan = _fan(polygon)
+    count = n_segments if closed else n_segments + 1
     verts: list[tuple[int, int]] = []  # on the grid, times GRID
-    while len(verts) < n_segments + 1:
+    while len(verts) < count:
         for _ in range(64):
             x, y = _sample_fan(rng, fan)
             p = (round(x * GRID), round(y * GRID))
             if verts and p == verts[-1]:
                 continue
-            if closed and len(verts) == n_segments and p == verts[0]:
+            if closed and len(verts) == count - 1 and p == verts[0]:
                 continue
             break
         else:
             raise DegeneracyError("could not draw a new walk vertex on the 1e-9 grid")
         verts.append(p)
-    if closed:
-        verts = verts[:-1]
     xs, ys = zip(*verts)
     return Polyline.from_grid(GRID, xs, ys, closed=closed)
 

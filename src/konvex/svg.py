@@ -46,22 +46,29 @@ class SceneDocument:
         return self.body is None and not self.curves and not self.lines
 
 
+def _label(entry: dict, default: str) -> str:
+    label = entry.get("label", default)
+    if not isinstance(label, str):
+        raise ParseError(f"scene labels must be strings, got {label!r}")
+    return label
+
+
 def load_scene(path: str | Path) -> SceneDocument:
     """Scene description: JSON with optional 'body' (polygon file), 'curves'
     [{file, label}], 'lines' [{nx, ny, c, label}], 'annotations' [{at, text}].
-    File references resolve relative to the scene file.  An unreadable file
-    or a malformed entry raises ParseError."""
+    Labels are strings.  File references resolve relative to the scene file.
+    An unreadable file or a malformed entry raises ParseError."""
     path = Path(path)
     base = path.parent
     try:
         doc = json.loads(path.read_text())
         body = parse_polygon((base / doc["body"]).read_text()) if doc.get("body") else None
         curves = [
-            (entry.get("label", f"curve{i}"), parse_polyline((base / entry["file"]).read_text()))
+            (_label(entry, f"curve{i}"), parse_polyline((base / entry["file"]).read_text()))
             for i, entry in enumerate(doc.get("curves", []))
         ]
         lines = [
-            (entry.get("label", f"line{i}"), line_from_dict(entry))
+            (_label(entry, f"line{i}"), line_from_dict(entry))
             for i, entry in enumerate(doc.get("lines", []))
         ]
         annotations = [

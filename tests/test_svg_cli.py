@@ -377,17 +377,67 @@ def _geometry_file(draw, headers):
     return "\n".join(draw(headers) + rows) + "\n"
 
 
+# scene documents: JSON values of every type where the scene expects an
+# object, a list of objects, a file name, a label or a number, next to
+# well-formed entries; files that exist (good.txt, a valid curve; curve.txt,
+# a fuzzed one; body.txt, the square; the directory itself) or do not
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=True),
+    st.sampled_from(["good.txt", "curve.txt", "body.txt", "missing.txt", "", ".", "1/3", "1e400"]),
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["file", "label", "at", "text", "nx", "ny", "c"]), inner, max_size=4),
+    max_leaves=8,
+)
+_FILES = st.sampled_from(["good.txt"] * 4 + ["curve.txt", "body.txt", "missing.txt", ".", ""])
+_LABELS = st.one_of(st.sampled_from(["a", "b", "<&>\"'", ""]), _JSON_SCALARS, _JSON)
+_NUMBERS = st.one_of(st.integers(-2, 2), st.floats(allow_nan=True), _JSON_SCALARS)
+
+
+def _entries(required: dict, optional: dict | None = None, min_size: int = 0):
+    return st.lists(st.fixed_dictionaries(required, optional=optional or {}),
+                    min_size=min_size, max_size=3)
+
+
+_CURVES = _entries({"file": _FILES}, {"label": _LABELS}, min_size=1)
+_PARTS = {
+    "body": st.one_of(st.sampled_from(["body.txt", "good.txt", "missing.txt", ""]), _JSON),
+    "lines": st.one_of(
+        _entries({"nx": _NUMBERS, "ny": _NUMBERS, "c": _NUMBERS}, {"label": _LABELS}), _JSON
+    ),
+    "annotations": st.one_of(
+        _entries({"at": st.one_of(st.lists(_NUMBERS, min_size=2, max_size=2), _JSON),
+                  "text": _JSON}),
+        _JSON,
+    ),
+}
+_SCENES = st.one_of(
+    st.fixed_dictionaries({"curves": _CURVES}, optional=_PARTS).map(json.dumps),
+    st.fixed_dictionaries({}, optional={**_PARTS, "curves": st.one_of(_CURVES, _JSON)}).map(
+        json.dumps
+    ),
+    _JSON.map(json.dumps),
+    st.sampled_from(["", "{", "not json", "[1, 2", "\u0000"]),
+)
+
+
 class TestCliFuzz:
     @given(
-        command=st.sampled_from(["bound", "analyze", "verify", "stab", "falsify", "prop1"]),
+        command=st.sampled_from(
+            ["bound", "analyze", "verify", "stab", "falsify", "prop1", "construct", "svg"]
+        ),
         curve_text=_geometry_file(st.sampled_from([["open"], ["closed"], [], ["ring"]])),
         body_text=_geometry_file(st.just([])),
         r=st.integers(min_value=1, max_value=4),
+        eps=st.sampled_from(["0.5", "5", "1e300", "1e-300", "0", "-1", "inf", "nan"]),
     )
     @settings(max_examples=225, deadline=None)
-    def test_malformed_files_exit_cleanly(self, command, curve_text, body_text, r):
+    def test_malformed_files_exit_cleanly(self, command, curve_text, body_text, r, eps):
         with tempfile.TemporaryDirectory() as tmp:
             curve, body = Path(tmp) / "curve.txt", Path(tmp) / "body.txt"
+            scene = Path(tmp) / "scene.json"
             curve.write_text(curve_text)
             body.write_text(body_text)
             argv = {
@@ -397,9 +447,29 @@ class TestCliFuzz:
                 "stab": ["stab", str(curve), str(r), str(body)],
                 "falsify": ["falsify", str(body), str(r), "--trials", "5"],
                 "prop1": ["prop1", str(curve)],
+                "construct": ["construct", str(body), str(r), "--eps", eps, "--m", "8",
+                              "--retries", "1", "--out", str(Path(tmp) / "built")],
+                "svg": ["svg", str(scene), "--out", str(Path(tmp) / "scene.svg")],
             }[command]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+            if command == "svg":
+                scene.write_text(json.dumps({"body": "body.txt", "curves": [{"file": "curve.txt"}]}))
+            assert_clean_exit(argv)
+
+    @given(scene=_SCENES, curve_text=_geometry_file(st.just([])))
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_scenes_exit_cleanly(self, scene, curve_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "curve.txt").write_text(curve_text)
+            (Path(tmp) / "good.txt").write_text("open\n0 0\n1 1\n2 0\n")
+            (Path(tmp) / "body.txt").write_text("0 0\n1 0\n1 1\n0 1\n")
+            path = Path(tmp) / "scene.json"
+            path.write_text(scene)
+            assert_clean_exit(["svg", str(path), "--out", str(Path(tmp) / "scene.svg")])
+
+
+def assert_clean_exit(argv: list[str]) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

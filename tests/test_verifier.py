@@ -8,7 +8,7 @@ from konvex import geometry, verifier
 from konvex.builder import ConstructionParams, build_curve
 from konvex.cli import main
 from konvex.formats import serialize_polygon, serialize_polyline
-from konvex.errors import NotSimpleError, PreconditionError
+from konvex.errors import DegeneracyError, NotSimpleError, PreconditionError
 from konvex.geometry import (
     ConvexPolygon,
     Point,
@@ -162,10 +162,22 @@ class TestFalsify:
             falsify(SQUARE, 2, trials=0, seed=1)
 
     def test_closed_walk_needs_three_segments(self):
-        # dropping the closing vertex leaves n_segments vertices
+        # a closed walk has n_segments vertices
         with pytest.raises(PreconditionError, match="at least 3 segments"):
             random_walk_polyline(0, SQUARE, n_segments=2, closed=True)
         assert len(random_walk_polyline(0, SQUARE, n_segments=3, closed=True)) == 3
+
+    def test_closed_walk_redraws_its_last_vertex(self):
+        # a triangle holding ten grid points: the ring's last vertex often
+        # snaps onto its first and must be redrawn, not refused
+        tiny = ConvexPolygon((Point(0, 0), Point("3e-9", 0), Point(0, "3e-9")))
+        for seed in range(2000):
+            try:
+                ring = random_walk_polyline(seed, tiny, n_segments=3, closed=True)
+            except DegeneracyError:
+                continue
+            assert ring.closed and len(ring) == 3
+            assert len(set(ring.vertices)) == 3
 
 
 def per_trial_evidence(blocks, r: int, threshold: float, length) -> dict:
