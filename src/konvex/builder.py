@@ -455,7 +455,9 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
     target = s_bound(body, params.r)
     odd = params.r % 2
     anchor_idx, anchor_dir = _gap_anchor(body)
-    default_inset = params.eps / (8.0 * params.n_loops)
+    # A slack of eps >= s lets any curve pass the length test, so the insets
+    # are planned from at most s: an inset larger than the body builds no ring.
+    default_inset = min(params.eps, target) / (8.0 * params.n_loops)
     inset_min = max(default_inset / 32.0, _INSET_FLOOR)
     failing_report: MultiplicityReport | None = None
     longest = 0.0
@@ -492,6 +494,8 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
                 m_params = replace(m_params, m=min(2 * m_params.m, 4096))
                 inset, gap = default_inset / 8.0, _GAP / 2.0
     message = f"construction failed after {params.max_retries} retries"
-    if failing_report is None:  # no attempt was long enough to verify
+    if failing_report is None and longest == 0.0:  # no attempt built a curve
+        message += "; no strictly convex inset ring could be built"
+    elif failing_report is None:  # no attempt was long enough to verify
         message += f"; longest curve {longest:.6g} < {target - 0.9 * params.eps:.6g}"
     raise ConstructionError(message, failing_report)

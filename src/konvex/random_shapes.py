@@ -162,34 +162,33 @@ def random_walk_polyline(
     return Polyline.from_grid(GRID, xs, ys, closed=closed)
 
 
-def _outward_edges(polygon: ConvexPolygon) -> list[tuple[float, float, float, float]]:
-    """(ax, ay, nx, ny) per edge: its first vertex and its outward normal."""
+def _exit_edges(polygon: ConvexPolygon, cx: float, cy: float) -> list[tuple[float, float, float]]:
+    """(nx, ny, h) per edge: its outward normal and the height
+    nx·(ax - cx) + ny·(ay - cy) of its first vertex a over the point (cx, cy)."""
     ring = polygon.float_ring()
     edges = []
-    for i in range(len(ring)):
-        ax, ay = ring[i]
-        bx, by = ring[(i + 1) % len(ring)]
-        edges.append((ax, ay, by - ay, -(bx - ax)))  # outward normal of a ccw edge
+    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+        nx, ny = by - ay, -(bx - ax)  # outward normal of a ccw edge
+        edges.append((nx, ny, nx * (ax - cx) + ny * (ay - cy)))
     return edges
 
 
-def _ray_exit_distance(
-    edges: list[tuple[float, float, float, float]],
-    origin: tuple[float, float],
-    direction: tuple[float, float],
-) -> float:
-    """Distance from an interior point to the boundary along a unit direction."""
-    ox, oy = origin
-    ux, uy = direction
+def _exit_distance(edges: list[tuple[float, float, float]], ux: float, uy: float) -> float:
+    """Distance from the interior point of `_exit_edges` to the boundary
+    along the unit direction (ux, uy)."""
     best = math.inf
-    for ax, ay, nx, ny in edges:
+    for nx, ny, h in edges:
         denom = nx * ux + ny * uy
-        if denom <= 1e-15:
-            continue
-        t = (nx * (ax - ox) + ny * (ay - oy)) / denom
-        if t >= 0:
-            best = min(best, t)
+        if denom > 1e-15:
+            t = h / denom
+            if 0 <= t < best:
+                best = t
     return best
+
+
+# radius fractions of a spiky ring's even and odd vertices, and of a smooth one's
+_SPIKY_BANDS = ((0.75, 0.92), (0.15, 0.3))
+_SMOOTH_BAND = (0.55, 0.9)
 
 
 def random_star_ring(
@@ -203,29 +202,40 @@ def random_star_ring(
     With spiky=True radii alternate between a deep and a shallow band, which
     forces pronounced reflex vertices (useful as non-convex prop-1 inputs and
     as high-multiplicity falsification curves).
+
+    A ring is drawn in scalar Python floats, with the numbers of the numpy
+    array form bit for bit.  Three steps stay numpy: the n angular gaps
+    `rng.uniform(0.5, 1.5, n)`, the start angle, and `gaps.sum()`, which
+    numpy adds pairwise, so a Python sum could round differently.  The
+    angles are a running sum, as `np.cumsum` adds in sequence.  The n radius
+    fractions come from one `rng.random(n)` as lo + (hi - lo)·f, which is how
+    a scalar `rng.uniform(lo, hi)` computes each, from the same stream.
     """
     rng = _rng(seed_or_rng)
     cx, cy = polygon.centroid()
-    edges = _outward_edges(polygon)
+    edges = _exit_edges(polygon, cx, cy)
+    bands = _SPIKY_BANDS if spiky else (_SMOOTH_BAND,)
     for _ in range(64):
         # controlled angular gaps: all below pi, so every edge stays inside
         # its wedge and the ring is simple by construction
         gaps = rng.uniform(0.5, 1.5, n_vertices)
-        angles = rng.uniform(0.0, 2.0 * math.pi) + np.concatenate(
-            [[0.0], np.cumsum(gaps[:-1])]
-        ) * (2.0 * math.pi / gaps.sum())
-        if np.min(np.diff(angles, append=angles[0] + 2 * math.pi)) < 1e-3:
+        start = rng.uniform(0.0, 2.0 * math.pi)
+        scale = float(2.0 * math.pi / gaps.sum())
+        angles = [start]
+        run = 0.0
+        for gap in gaps[:-1].tolist():
+            run += gap
+            angles.append(start + run * scale)
+        ends = angles[1:] + [start + 2 * math.pi]
+        if min(b - a for a, b in zip(angles, ends)) < 1e-3:
             continue
+        fractions = rng.random(n_vertices).tolist()
         snapped: list[tuple[int, int]] = []  # vertices on the grid, times GRID
         for k, theta in enumerate(angles):
-            u = (math.cos(theta), math.sin(theta))
-            reach = _ray_exit_distance(edges, (cx, cy), u)
-            if spiky:
-                f = rng.uniform(0.75, 0.92) if k % 2 == 0 else rng.uniform(0.15, 0.3)
-            else:
-                f = rng.uniform(0.55, 0.9)
-            r = f * reach
-            snapped.append((round((cx + r * u[0]) * GRID), round((cy + r * u[1]) * GRID)))
+            ux, uy = math.cos(theta), math.sin(theta)
+            lo, hi = bands[k % len(bands)]
+            r = (lo + (hi - lo) * fractions[k]) * _exit_distance(edges, ux, uy)
+            snapped.append((round((cx + r * ux) * GRID), round((cy + r * uy) * GRID)))
         if len(set(snapped)) != len(snapped):
             continue
         xs, ys = zip(*snapped)
@@ -234,4 +244,3 @@ def random_star_ring(
             continue
         return ring
     raise DegeneracyError("could not generate a star ring")
-

@@ -142,10 +142,19 @@ class Component:
 
 @dataclass(frozen=True)
 class MultiplicityReport:
+    """An exact component count, the method that found it, and the line and
+    components behind it.  `witness` is None only in the count-only replays
+    of `_exceeds` (`_Sweep.replay` with witness=False): those reports hold
+    the exact count and the method, with no line and no components."""
+
     count: int
-    witness: Line | None  # None only in the count-only replays of `_exceeds`
+    witness: Line | None
     method: str
     components: tuple[Component, ...] = field(default=())
+
+
+def _segment_count(poly: Polyline) -> int:
+    return len(poly) if poly.closed else len(poly) - 1
 
 
 def _segment_endpoints(poly: Polyline) -> Iterator[tuple[int, int, int]]:
@@ -193,64 +202,85 @@ def line_multiplicity(line: Line, poly: Polyline, method: str = METHOD_DIRECT) -
     return _grid_multiplicity(poly, coefs, line, method)
 
 
-def _grid_multiplicity(
-    poly: Polyline, coefs: tuple[int, int, int], witness: Line | None, method: str
-) -> MultiplicityReport:
-    """`line_multiplicity` of the line a·X + b·Y = c on the polyline's
-    integer grid, for coefs (a, b, c), reported with `witness`: the rational
-    line of which the coefs are a positive multiple, or None when only the
-    count and the components are wanted.  Every decision and component end
-    is invariant under that multiple."""
-    d, xs, ys = poly.grid
+def _merged_pieces(poly: Polyline, coefs: tuple[int, int, int]) -> tuple[list[list], list[int]]:
+    """The pieces of the line a·X + b·Y = c on the polyline's integer grid,
+    for coefs (a, b, c), merged into components, and the line's value at
+    every vertex.  A component is [lo, hi, start, end, segments]: its extent
+    on the chart as (numerator, positive denominator) pairs, its end points
+    as vertex index pairs (i, i for vertex i, i, j for the crossing of edge
+    (i, j)), and the set of its segment indices.  Every decision is
+    invariant under a positive multiple of the coefs."""
+    _, xs, ys = poly.grid
     a, b, c = coefs
     values = [a * x + b * y - c for x, y in zip(xs, ys)]
     along = [b * x - a * y for x, y in zip(xs, ys)]
 
-    # a piece is (lo, hi, start, end, segment): its extent on the chart as
-    # (numerator, positive denominator) pairs, and its end points as exact
-    # (X, Y, q) with coordinates X/q, Y/q on the grid's scale
     pieces: list[tuple[tuple[int, int], tuple[int, int], tuple, tuple, int]] = []
     for seg_idx, i, j in _segment_endpoints(poly):
         vi, vj = values[i], values[j]
         if vi == 0 and vj == 0:
             if along[j] < along[i]:
                 i, j = j, i
-            ends = (xs[i], ys[i], d), (xs[j], ys[j], d)
-            pieces.append(((along[i], 1), (along[j], 1), *ends, seg_idx))
+            pieces.append(((along[i], 1), (along[j], 1), (i, i), (j, j), seg_idx))
         elif vi == 0 or vj == 0:
             k = i if vi == 0 else j
-            t, point = (along[k], 1), (xs[k], ys[k], d)
-            pieces.append((t, t, point, point, seg_idx))
+            t = (along[k], 1)
+            pieces.append((t, t, (k, k), (k, k), seg_idx))
         elif (vi > 0) != (vj > 0):
-            # the crossing (vi·Pj - vj·Pi) / (vi - vj), its denominator made
-            # positive (so a zero coordinate divides to 0.0, not -0.0)
+            # the crossing (vi·tj - vj·ti) / (vi - vj), its denominator made positive
             sign = 1 if vi > 0 else -1
-            q = sign * (vi - vj)
-            t = (sign * (vi * along[j] - vj * along[i]), q)
-            point = (sign * (vi * xs[j] - vj * xs[i]), sign * (vi * ys[j] - vj * ys[i]), d * q)
-            pieces.append((t, t, point, point, seg_idx))
+            t = (sign * (vi * along[j] - vj * along[i]), sign * (vi - vj))
+            pieces.append((t, t, (i, j), (i, j), seg_idx))
 
     pieces.sort(key=cmp_to_key(lambda s, t: _compare(s[0], t[0]) or _compare(s[1], t[1])))
-    components: list[Component] = []
-    cur: list | None = None
+    merged: list[list] = []
     for lo, hi, start, end, seg_idx in pieces:
+        cur = merged[-1] if merged else None
         if cur is not None and _compare(lo, cur[1]) <= 0:
             if _compare(hi, cur[1]) > 0:
                 cur[1] = hi
                 cur[3] = end
             cur[4].add(seg_idx)
         else:
-            if cur is not None:
-                components.append(
-                    Component(tuple(sorted(cur[4])), _float_point(cur[2]), _float_point(cur[3]))
-                )
-            cur = [lo, hi, start, end, {seg_idx}]
-    if cur is not None:
-        components.append(
-            Component(tuple(sorted(cur[4])), _float_point(cur[2]), _float_point(cur[3]))
+            merged.append([lo, hi, start, end, {seg_idx}])
+    return merged, values
+
+
+def _grid_multiplicity(
+    poly: Polyline, coefs: tuple[int, int, int], witness: Line | None, method: str
+) -> MultiplicityReport:
+    """`line_multiplicity` of the line a·X + b·Y = c on the polyline's
+    integer grid, for coefs (a, b, c), reported with `witness`: the rational
+    line of which the coefs are a positive multiple, or None when only the
+    count and the components are wanted."""
+    merged, values = _merged_pieces(poly, coefs)
+    d, xs, ys = poly.grid
+
+    def point(end: tuple[int, int]) -> tuple[float, float]:
+        i, j = end
+        if i == j:
+            return _float_point((xs[i], ys[i], d))
+        # the crossing (vi·Pj - vj·Pi) / (vi - vj), its denominator made
+        # positive (so a zero coordinate divides to 0.0, not -0.0)
+        vi, vj = values[i], values[j]
+        sign = 1 if vi > 0 else -1
+        return _float_point(
+            (sign * (vi * xs[j] - vj * xs[i]),
+             sign * (vi * ys[j] - vj * ys[i]),
+             d * sign * (vi - vj))
         )
 
-    return MultiplicityReport(len(components), witness, method, tuple(components))
+    components = tuple(
+        Component(tuple(sorted(segments)), point(start), point(end))
+        for _, _, start, end, segments in merged
+    )
+    return MultiplicityReport(len(components), witness, method, components)
+
+
+def _grid_count(poly: Polyline, coefs: tuple[int, int, int]) -> int:
+    """The component count of `_grid_multiplicity`, with no end points and
+    no `Component`s built."""
+    return len(_merged_pieces(poly, coefs)[0])
 
 
 def proper_crossings(line: Line, poly: Polyline) -> int:
@@ -278,11 +308,12 @@ def proper_crossings(line: Line, poly: Polyline) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _float_points(poly: Polyline) -> np.ndarray:
-    """The polyline's float view (X/D, Y/D), refused outside ±_COORD_LIMIT."""
+def _float_points(*polys: Polyline) -> np.ndarray:
+    """The polylines' float views (X/D, Y/D), one after another in one
+    array, refused outside ±_COORD_LIMIT."""
     refused = PreconditionError("vertex coordinates must lie within ±2^500")
     try:
-        pts = np.array(poly.float_vertices(), dtype=np.float64)
+        pts = np.array([p for poly in polys for p in poly.float_vertices()], dtype=np.float64)
     except PreconditionError:
         raise refused from None
     if not np.all(np.abs(pts) <= _COORD_LIMIT):
@@ -356,7 +387,7 @@ class _Sweep:
         self.polys = polys
         sizes = np.array([len(poly) for poly in polys])
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        pts = np.concatenate([_float_points(poly) for poly in polys])
+        pts = _float_points(*polys)
         # rows compare only the vertices of their own curve, so each curve is
         # ranked on its own grid
         rank_x = np.array([k for poly in polys for k in _ranks(poly.grid[1])])
@@ -395,8 +426,8 @@ class _Sweep:
         products (in place), marking members parallel to their predecessor."""
         js = np.nonzero(joined)[0]
         breaks = np.diff(js) > 1
-        starts = js[np.r_[True, breaks]] - 1
-        stops = js[np.r_[breaks, True]] + 1
+        starts = js[np.concatenate(([True], breaks))] - 1
+        stops = js[np.concatenate((breaks, [True]))] + 1
         by_angle = cmp_to_key(lambda s, t: _cross(t[0], s[0]))
         for a, b in zip(starts, stops):
             members = sorted(
@@ -530,8 +561,9 @@ class _Sweep:
         self, rows: slice, scores: np.ndarray, rep: np.ndarray, flat: int, witness: bool = True
     ) -> MultiplicityReport:
         """Exact report of a rational witness line of the candidate at index
-        `flat` of a chunk's scores; with witness=False the report holds no
-        line (None), and no Fraction is made."""
+        `flat` of a chunk's scores.  With witness=False the report holds the
+        exact count and the method only, with no line (None) and no
+        components, and no Fraction is made."""
         row, k, kind = np.unravel_index(flat, scores.shape)
         curve, pivot = int(self.row_curve[rows.start + row]), int(self.row_pivot[rows.start + row])
         score, a, b = int(scores[row, k, kind]), rep[row, k], rep[row, k + 1]
@@ -557,13 +589,16 @@ class _Sweep:
         nx, ny = -wy, wx
         c = nx * xs[pivot] + ny * ys[pivot]
 
-        def report(scale: int, offset: int) -> MultiplicityReport:
+        def report(scale: int, offset: int, components: bool = False) -> MultiplicityReport:
             # the line n·(X, Y) = offset/scale on the grid; the curve's line
             # is n/d·(x, y) = offset/(d²·scale)
+            coefs = (nx * scale, ny * scale, offset)
             if witness:
                 line = Line(Fraction(nx, d), Fraction(ny, d), Fraction(offset, d * d * scale))
                 return line_multiplicity(line, poly, METHOD_SWEEP)
-            return _grid_multiplicity(poly, (nx * scale, ny * scale, offset), None, METHOD_SWEEP)
+            if components:
+                return _grid_multiplicity(poly, coefs, None, METHOD_SWEEP)
+            return MultiplicityReport(_grid_count(poly, coefs), None, METHOD_SWEEP)
 
         if kind in (_EVENT, _THROUGH):
             return report(1, c)
@@ -573,8 +608,13 @@ class _Sweep:
         for tries in range(1, _GENERIC_TRIES + 1):
             # c - side·gap/2^tries: the line moved a 2^tries-th of the way to
             # the nearest other pivot
-            found = report(2**tries, c * 2**tries - side * gap)
-            if found.count == score or not _accidental(found, poly):
+            shift = (2**tries, c * 2**tries - side * gap)
+            found = report(*shift)
+            if found.count == score:
+                return found
+            # a short count: re-shift if it comes from a self-intersection,
+            # which the components show
+            if not _accidental(found if witness else report(*shift, components=True), poly):
                 return found
         raise VerificationError("no witness line avoids the curve's self-intersections")
 
@@ -608,17 +648,21 @@ def _sweep_best(
     batch, chunk by chunk, cut short once a count reaches `enough`.  A
     polyline whose scores all stay at or below `floor` is not replayed
     (None): its scores already bound every line's count by `floor`.  With
-    witness=False the reports hold counts and components but no line."""
+    witness=False the reports hold the exact count and the method only: no
+    line and no components (see `_Sweep.replay`)."""
     sweep = _Sweep(polys)
     best: list[MultiplicityReport | None] = [None] * len(polys)
     for rows, scores, rep in sweep.scored_chunks():
-        for curve, part in sweep.curves(rows):
-            found, mine = best[curve], scores[part]
-            if (found is not None and found.count >= enough) or mine.max() <= floor:
+        parts = list(sweep.curves(rows))
+        row_tops = scores.reshape(len(scores), -1).max(axis=1)
+        tops = np.maximum.reduceat(row_tops, [part.start for _, part in parts]).tolist()
+        for (curve, part), top in zip(parts, tops):
+            found = best[curve]
+            if (found is not None and found.count >= enough) or top <= floor:
                 continue
             offset = part.start * scores[0].size
             best[curve] = _replay_descending(
-                mine,
+                scores[part],
                 lambda flat: sweep.replay(rows, scores, rep, offset + flat, witness),
                 found,
                 enough,
@@ -648,11 +692,18 @@ def _batches(polys: Sequence[Polyline]) -> Iterator[list[int]]:
 
 def _exceeds(polys: Sequence[Polyline], r: int) -> list[bool]:
     """Whether some line meets each polyline more than r times, decided in
-    batched sweeps.  A polyline whose scores all stay at or below r needs no
-    replay; otherwise it exceeds r exactly when an exact replay reaches
-    r + 1."""
+    batched sweeps.
+
+    A line meets a segment in at most one piece, so a polyline of at most r
+    segments is within r and is not swept.  A polyline whose scores all stay
+    at or below r needs no replay; otherwise it exceeds r exactly when an
+    exact replay reaches r + 1.  Those replays are count-only (witness=False
+    in `_sweep_best`): each builds the merged pieces of its line and takes
+    their number, with no line, end points or components."""
     over = [False] * len(polys)
-    for batch in _batches(polys):
+    long = [i for i, poly in enumerate(polys) if _segment_count(poly) > r]
+    for part in _batches([polys[i] for i in long]):
+        batch = [long[i] for i in part]
         reports = _sweep_best([polys[i] for i in batch], r + 1, r, witness=False)
         for i, report in zip(batch, reports):
             over[i] = report is not None and report.count > r

@@ -272,3 +272,14 @@ class TestConstructionFailure:
         longest, target = str(err.value).split("longest curve ")[1].split(" < ")
         assert 0 < float(longest) < needed
         assert target == f"{needed:.6g}"
+
+    def test_no_inset_ring_is_reported_as_such(self):
+        # a 1 x 1e-6 strip is narrower than every inset the schedule tries,
+        # so no curve is built; the message says so instead of comparing a
+        # length of 0 against the budget
+        strip = ConvexPolygon(
+            (Point(0, 0), Point(1, 0), Point(1, "1e-6"), Point(0, "1e-6"))
+        )
+        params = ConstructionParams(r=2, eps=0.05 * s_bound(strip, 2), m=32, max_retries=1)
+        with pytest.raises(ConstructionError, match="no strictly convex inset ring could be built"):
+            build_curve(strip, params)

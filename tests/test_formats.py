@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from konvex.errors import ParseError
 from konvex.formats import (
@@ -15,8 +18,8 @@ from konvex.formats import (
     serialize_polyline,
     to_json,
 )
-from konvex.geometry import ConvexPolygon, Line, Point
-from konvex.random_shapes import random_walk_polyline
+from konvex.geometry import ConvexPolygon, Line, Point, Polyline
+from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
 from konvex.stabbing import line_multiplicity, max_line_multiplicity
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
@@ -115,10 +118,91 @@ class TestReportJson:
         assert line_multiplicity(back.witness, poly).count == rep.count
 
     def test_json_text_round_trip(self):
-        import json
-
         poly = random_walk_polyline(8, SQUARE, n_segments=6)
         rep = max_line_multiplicity(poly)
         text = to_json(rep)
         back = multiplicity_report_from_dict(json.loads(text))
         assert back.witness == rep.witness
+
+
+# ---------------------------------------------------------------------------
+# round trips, bit for bit
+# ---------------------------------------------------------------------------
+
+# exact decimals, other rationals, dyadic rationals of doubles, and huge and
+# tiny magnitudes
+rationals = st.one_of(
+    st.integers(-(10**12), 10**12).map(lambda n: Fraction(n, 10**9)),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+    st.builds(lambda m, e: m * Fraction(10) ** e, st.integers(-9, 9), st.integers(-400, 400)),
+)
+
+
+@st.composite
+def polylines(draw):
+    raw = draw(st.lists(st.tuples(rationals, rationals), min_size=2, max_size=12))
+    verts = [Point(x, y) for i, (x, y) in enumerate(raw) if i == 0 or (x, y) != raw[i - 1]]
+    assume(len(verts) >= 2)
+    closed = draw(st.booleans()) and len(verts) >= 3 and verts[0] != verts[-1]
+    return Polyline(tuple(verts), closed)
+
+
+@st.composite
+def polygons(draw):
+    """Random convex polygons, moved by an exact rational scale and shift."""
+    base = random_convex_polygon(draw(st.integers(0, 10**6)), draw(st.integers(3, 20)))
+    scales = [Fraction(1), Fraction(1, 3), Fraction(10) ** 30, Fraction(7, 10**12)]
+    scale = draw(st.sampled_from(scales))
+    shift = draw(rationals)
+    return ConvexPolygon(tuple(Point(v.x * scale + shift, v.y * scale - shift) for v in base.ring))
+
+
+lines = st.tuples(rationals, rationals, rationals).filter(lambda t: t[0] or t[1]).map(
+    lambda t: Line(*t)
+)
+
+
+def _bits(report):
+    return (
+        report.count,
+        report.method,
+        report.witness,
+        [(c.segments, c.kind, [v.hex() for v in (*c.start, *c.end)]) for c in report.components],
+    )
+
+
+class TestRoundTrips:
+    @settings(max_examples=300, deadline=None)
+    @given(polylines())
+    def test_polyline(self, poly):
+        text = serialize_polyline(poly)
+        back = parse_polyline(text)
+        assert back == poly and back.closed == poly.closed and back.grid == poly.grid
+        assert back.vertices == poly.vertices
+        assert serialize_polyline(back) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygons())
+    def test_polygon(self, polygon):
+        text = serialize_polygon(polygon)
+        back = parse_polygon(text)
+        assert back == polygon and back.ring == polygon.ring
+        assert serialize_polygon(back) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines)
+    def test_line(self, line):
+        back = line_from_dict(line_to_dict(line))
+        assert (back.nx, back.ny, back.c) == (line.nx, line.ny, line.c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans(), lines)
+    def test_report(self, seed, ring, line):
+        poly = random_star_ring(seed, SQUARE, 9) if ring else random_walk_polyline(seed, SQUARE, 8)
+        for report in (line_multiplicity(line, poly), max_line_multiplicity(poly)):
+            doc = multiplicity_report_to_dict(report)
+            back = multiplicity_report_from_dict(doc)
+            assert back == report and _bits(back) == _bits(report)
+            text = multiplicity_report_from_dict(json.loads(json.dumps(doc)))
+            assert _bits(text) == _bits(report)

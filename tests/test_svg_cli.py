@@ -16,7 +16,7 @@ from konvex.builder import ConstructionParams, build_curve
 from konvex.cli import main
 from konvex.errors import PreconditionError
 from konvex.formats import serialize_polygon, serialize_polyline
-from konvex.geometry import ConvexPolygon, Line, Point, Polyline
+from konvex.geometry import ConvexPolygon, Line, Point, Polyline, s_bound
 from konvex.svg import SceneDocument, emit_svg, load_scene, render_svg
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
@@ -144,6 +144,20 @@ class TestCli:
         args = [str(path), "2", square_file] if command == "stab" else [str(path), square_file, "2"]
         assert main([command, *args]) == 2
         assert "verification failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["1e6", "1e300", "s", "0.05 s", "0.5", "5"])
+    def test_construct_builds_for_every_positive_eps(self, tmp_path, square_file, eps, capsys):
+        # A slack of s or more lets any curve pass the length test, so the
+        # builder plans its insets from s; it used to build no inset ring and
+        # exit 2 with "longest curve 0 < -899995".
+        s = s_bound(SQUARE, 3)
+        value = {"s": repr(s), "0.05 s": repr(0.05 * s)}.get(eps, eps)
+        out = tmp_path / "curve"
+        assert main(["construct", square_file, "3", "--eps", value, "--out", str(out), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["multiplicity"]["count"] <= 3
+        assert doc["achieved_length"] >= doc["target"] - float(value)
+        assert doc["achieved_length"] > 0 and doc["target"] == s
 
     def test_construct_writes_curve_and_sidecar(self, tmp_path, square_file, capsys):
         out = tmp_path / "curve"
