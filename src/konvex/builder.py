@@ -77,6 +77,8 @@ class ConstructionParams:
             raise PreconditionError(f"need at least {_MIN_SAMPLES} samples per loop")
         if self.max_retries < 1:
             raise PreconditionError("max_retries must be at least 1")
+        if self.seed < 0:
+            raise PreconditionError("seed must be non-negative")
 
     @property
     def n_loops(self) -> int:

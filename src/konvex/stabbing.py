@@ -65,13 +65,23 @@ its pivots, and vertex columns are padded to the batch's largest curve.
 Single-curve callers sweep a batch of one.  `verifier.falsify` packs its
 trial curves, sorted by vertex count, into batches of at most
 _BATCH_ENTRIES padded entries and asks only whether some line meets a
-curve more than r times.  A curve whose every score is at most r is within
-r with no replay, since the scores bound every line's count; any other
-curve is replayed in descending score order until a count reaches r + 1 or
-the scores left cannot, so every count above r that it acts on is an exact
-replay.  Those replays need only counts: they decide on the candidate's
-integer line directly and build no rational `Line`, so falsify judges its
-grid-born curves with no `Fraction` at all.
+curve more than r times.  One exact line with r + 1 components answers
+that, so each batch first takes the witness screen: for each of 16 small
+integer normals (a, b), the grid ints' projections a·X + b·Y are sorted in
+int64, and prefix sums of each edge's +1 at its lower end and -1 at its
+upper end count the edges that the line 2a·X + 2b·Y = p + q crosses, for
+every gap p < q between consecutive distinct projections.  That line
+passes through no vertex, and its count is exact.  A curve whose largest
+count exceeds r replays those lines, in descending count, until an exact
+count reaches r + 1.  On the benchmark's falsify cycle the screen decides
+1128 of the 1166 curves above r (97 %).  Only the curves it leaves are
+swept.  A curve whose every score is at most r is within r with no replay,
+since the scores bound every line's count; any other curve is replayed in
+descending score order until a count reaches r + 1 or the scores left
+cannot, so every count above r that it acts on is an exact replay.  Those
+replays need only counts: they decide on the candidate's integer line
+directly and build no rational `Line`, so falsify judges its grid-born
+curves with no `Fraction` at all.
 """
 
 from __future__ import annotations
@@ -119,6 +129,16 @@ _SCREEN_CHUNK = 8192  # random lines per generator draw: it fixes the oracle's r
 _SCREEN_ENTRIES = 1 << 15  # line-by-vertex entries per densely screened block
 _SCREEN_BUCKETS = 2048  # direction buckets of the oracle's screen
 _BUCKET_ENTRIES = 1 << 16  # bucket-by-vertex table entries per slice of buckets
+# small primitive integer normals (a, b) of the witness screen in `_exceeds`,
+# about every π/16 over [0, π)
+_WITNESS_NORMALS = (
+    (1, 0), (5, 1), (5, 2), (3, 2), (1, 1), (2, 3), (2, 5), (1, 5),
+    (0, 1), (-1, 5), (-2, 5), (-2, 3), (-1, 1), (-3, 2), (-5, 2), (-5, 1),
+)
+_WITNESS_A, _WITNESS_B = np.array(_WITNESS_NORMALS).T[:, :, None]
+# grid ints within ±_WITNESS_BOUND keep every projection a·X + b·Y below 2^62
+# in absolute value, and every sum of two within int64
+_WITNESS_BOUND = (2**62 - 1) // max(abs(a) + abs(b) for a, b in _WITNESS_NORMALS)
 
 # sweep candidates for a pivot and its angular interval (or event) k
 _EVENT = 0  # the line through the pivot and the vertices of event k
@@ -690,23 +710,97 @@ def _batches(polys: Sequence[Polyline]) -> Iterator[list[int]]:
         yield batch
 
 
+def _witness_gaps(polys: Sequence[Polyline]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The witness screen's table: for each polyline it screens and each
+    normal (a, b) of _WITNESS_NORMALS, the largest number of edges crossed
+    by a line a·X + b·Y = t on the polyline's integer grid with t strictly
+    between two consecutive distinct projections p < q, and the first such
+    gap's p + q.  So the line 2a·X + 2b·Y = p + q passes through no vertex,
+    and the count is its exact number of strict crossings.
+
+    Returns the indices of the screened polylines, their counts and their
+    sums (screened × normals; a count of 0 has no gap line).  A polyline is
+    screened when its grid ints all lie within ±_WITNESS_BOUND, so that its
+    projections and their sums fit in int64.
+
+    Each polyline is an open chain of the batch's width: a closed one
+    repeats its first vertex, which closes it, and an open one its last.
+    The repeated vertices add edges of length 0, which weigh nothing, and
+    tie with the vertex they copy, so no count is read between them."""
+    fits, xs, ys = [], [], []
+    width = max(len(poly) + poly.closed for poly in polys)
+    for i, poly in enumerate(polys):
+        _, px, py = poly.grid
+        ints = px + py
+        if -_WITNESS_BOUND <= min(ints) and max(ints) <= _WITNESS_BOUND:
+            fits.append(i)
+            fill = width - len(px)
+            end = 0 if poly.closed else -1
+            xs.extend(px)
+            xs.extend([px[end]] * fill)
+            ys.extend(py)
+            ys.extend([py[end]] * fill)
+    grid = np.array([xs, ys], dtype=np.int64).reshape(2, len(fits), 1, width)
+    # projections: polyline × normal × vertex
+    proj = _WITNESS_A * grid[0] + _WITNESS_B * grid[1]
+    # each edge weighs +1 at its lower end and -1 at its upper end
+    weight = np.diff(np.sign(np.diff(proj, axis=2)), axis=2, prepend=0, append=0)
+    order = np.argsort(proj, axis=2)
+    proj = np.take_along_axis(proj, order, axis=2)
+    crossed = np.cumsum(np.take_along_axis(weight, order, axis=2), axis=2)[:, :, :-1]
+    counts = np.where(proj[:, :, 1:] > proj[:, :, :-1], crossed, 0)
+    gap = counts.argmax(axis=2)[:, :, None]
+    sums = np.take_along_axis(proj, gap, axis=2) + np.take_along_axis(proj, gap + 1, axis=2)
+    return fits, counts.max(axis=2), sums[:, :, 0]
+
+
+def _witness_screen(polys: Sequence[Polyline], r: int) -> list[bool]:
+    """Whether a gap line of `_witness_gaps` meets each polyline more than
+    r times, by an exact count-only replay (`_grid_count`).  The normals of
+    a polyline are tried in descending table count while the count exceeds
+    r; the count bounds the replay's, which falls short only when crossings
+    coincide.  False leaves the polyline undecided."""
+    marked = [False] * len(polys)
+    fits, counts, sums = _witness_gaps(polys)
+    rows = np.flatnonzero(counts.max(axis=1, initial=0) > r)
+    for row in rows.tolist():
+        poly = polys[fits[row]]
+        for k in np.argsort(-counts[row], kind="stable").tolist():
+            if counts[row, k] <= r:
+                break
+            a, b = _WITNESS_NORMALS[k]
+            if _grid_count(poly, (2 * a, 2 * b, int(sums[row, k]))) > r:
+                marked[fits[row]] = True
+                break
+    return marked
+
+
 def _exceeds(polys: Sequence[Polyline], r: int) -> list[bool]:
-    """Whether some line meets each polyline more than r times, decided in
-    batched sweeps.
+    """Whether some line meets each polyline more than r times, decided by
+    the witness screen and batched sweeps.
 
     A line meets a segment in at most one piece, so a polyline of at most r
-    segments is within r and is not swept.  A polyline whose scores all stay
-    at or below r needs no replay; otherwise it exceeds r exactly when an
-    exact replay reaches r + 1.  Those replays are count-only (witness=False
-    in `_sweep_best`): each builds the merged pieces of its line and takes
-    their number, with no line, end points or components."""
+    segments is within r and is not swept.  The others are taken in batches
+    (`_batches`), and each batch is first screened (`_witness_screen`): an
+    exact replay of a gap line through no vertex that reaches r + 1 proves
+    the polyline exceeds r with no sweep.  The screen cannot prove a
+    polyline within r, so the ones it leaves are swept.  A polyline whose
+    scores all stay at or below r needs no replay; otherwise it exceeds r
+    exactly when an exact replay reaches r + 1.  All these replays are
+    count-only (`_grid_count`, and witness=False in `_sweep_best`): each
+    builds the merged pieces of its line and takes their number, with no
+    line, end points or components."""
     over = [False] * len(polys)
     long = [i for i, poly in enumerate(polys) if _segment_count(poly) > r]
     for part in _batches([polys[i] for i in long]):
         batch = [long[i] for i in part]
-        reports = _sweep_best([polys[i] for i in batch], r + 1, r, witness=False)
-        for i, report in zip(batch, reports):
-            over[i] = report is not None and report.count > r
+        for i, done in zip(batch, _witness_screen([polys[i] for i in batch], r)):
+            over[i] = done
+        rest = [i for i in batch if not over[i]]
+        if rest:
+            reports = _sweep_best([polys[i] for i in rest], r + 1, r, witness=False)
+            for i, report in zip(rest, reports):
+                over[i] = report is not None and report.count > r
     return over
 
 
@@ -1003,6 +1097,8 @@ def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityRe
     """
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
     lines, counts = _screened_lines(poly, trials, seed)
     return _replay_descending(
         counts,

@@ -96,6 +96,8 @@ def falsify(body: ConvexPolygon, r: int, trials: int, seed: int = 0) -> BoundRep
         raise PreconditionError("trials must be at least 1")
     if r < 2:
         raise PreconditionError("the multiplicity budget r must be at least 2")
+    if seed < 0:
+        raise PreconditionError("seed must be non-negative")
     threshold = s_bound(body, r)
     max_ratio = 0.0
     qualifying = 0

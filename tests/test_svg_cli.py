@@ -319,6 +319,18 @@ class TestCli:
         assert main(["falsify", square_file, "2", "--trials", "5", "--seed", "4", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["evidence"]["seed"] == 4
 
+    @pytest.mark.parametrize("command", ["falsify", "construct"])
+    def test_negative_seed_exit_1(self, square_file, monkeypatch, capsys, tmp_path, command):
+        argv = [command, square_file, "3"]
+        if command == "construct":
+            argv += ["--out", str(tmp_path / "fig")]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        monkeypatch.setenv("KONVEX_SEED", "-1")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not list(tmp_path.glob("fig*"))
+
 
 class TestParserReuse:
     """`main` builds its parser once per process; every call parses afresh."""

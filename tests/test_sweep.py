@@ -3,7 +3,7 @@ force over the whole line arrangement, its candidate scores against the
 sign-vector formula, a batched sweep against sweeps of one curve each, its
 float filter on near-degenerate and large inputs, and its invariance under
 exact similarity motions; the random oracle's screen counts against exact
-signs."""
+signs; the witness screen of `_exceeds` against a Python-int gap loop."""
 
 from collections import defaultdict
 from fractions import Fraction
@@ -19,6 +19,7 @@ from konvex.errors import PreconditionError
 from konvex.geometry import ConvexPolygon, Line, Point, Polyline
 from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
 from konvex.stabbing import line_multiplicity, max_line_multiplicity, random_line_oracle
+from konvex.verifier import falsify
 
 from fraction_oracle import rigid_motion, side_of
 
@@ -277,6 +278,100 @@ class TestBatch:
         for batch in batches:
             entries = sum(sizes[i] for i in batch) * max(sizes[i] for i in batch)
             assert len(batch) == 1 or entries <= stabbing._BATCH_ENTRIES
+
+
+def edge_list(poly: Polyline) -> list[tuple[int, int]]:
+    n = len(poly)
+    return [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if poly.closed else [])
+
+
+def gap_crossings(poly: Polyline, a: int, b: int) -> list[tuple[int, int]]:
+    """(p + q, edges with one end at or below p and the other at or above q)
+    for each pair p < q of consecutive distinct projections a·X + b·Y of the
+    grid ints, in ascending order: plain Python ints, no table."""
+    _, xs, ys = poly.grid
+    proj = [a * x + b * y for x, y in zip(xs, ys)]
+    values = sorted(set(proj))
+    spans = [sorted((proj[i], proj[j])) for i, j in edge_list(poly)]
+    return [(p + q, sum(1 for lo, hi in spans if lo <= p and hi >= q))
+            for p, q in zip(values, values[1:])]
+
+
+def strict_crossings(poly: Polyline, coefs: tuple[int, int, int]) -> int:
+    """Edges whose ends lie strictly on opposite sides of a·X + b·Y = c,
+    which must pass through no vertex."""
+    a, b, c = coefs
+    _, xs, ys = poly.grid
+    values = [a * x + b * y - c for x, y in zip(xs, ys)]
+    assert 0 not in values
+    return sum(1 for i, j in edge_list(poly) if (values[i] > 0) != (values[j] > 0))
+
+
+def zigzag(x: int, n: int) -> Polyline:
+    """n vertices alternating between X = -x and X = x on the grid of
+    denominator 1, one step up each: the line X = 0 crosses every edge."""
+    return Polyline.from_grid(1, [x if k % 2 else -x for k in range(n)], list(range(n)))
+
+
+class TestWitnessScreen:
+    """The exact witness screen that `_exceeds` runs before its sweeps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(batch_curves(), min_size=1, max_size=6), st.integers(2, 6))
+    def test_table_against_python_ints(self, polys, r):
+        fits, counts, sums = stabbing._witness_gaps(polys)
+        bound = stabbing._WITNESS_BOUND
+        # the 2^497 scale lies beyond the bound and is left to the sweep
+        assert fits == [i for i, poly in enumerate(polys)
+                        if max(map(abs, poly.grid[1] + poly.grid[2])) <= bound]
+        for row, i in enumerate(fits):
+            for k, (a, b) in enumerate(stabbing._WITNESS_NORMALS):
+                gaps = gap_crossings(polys[i], a, b)
+                top = max((count for _, count in gaps), default=0)
+                assert counts[row, k] == top
+                if top:
+                    # the first gap of the largest count: its line passes
+                    # through no vertex and crosses exactly `top` edges
+                    assert sums[row, k] == next(s for s, count in gaps if count == top)
+                    assert strict_crossings(polys[i], (2 * a, 2 * b, int(sums[row, k]))) == top
+        for poly, marked in zip(polys, stabbing._witness_screen(polys, r)):
+            if marked:
+                assert max_line_multiplicity(poly).count > r
+
+    def test_curves_beyond_the_int64_bound_are_swept(self, monkeypatch):
+        swept = []
+
+        class Recording(stabbing._Sweep):
+            def __init__(self, polys):
+                swept.extend(polys)
+                super().__init__(polys)
+
+        monkeypatch.setattr(stabbing, "_Sweep", Recording)
+        bound = stabbing._WITNESS_BOUND
+        inside, beyond = zigzag(bound, 9), zigzag(bound + 1, 9)
+        assert stabbing._witness_gaps([beyond, inside])[0] == [1]
+        assert stabbing._witness_screen([beyond, inside], 7) == [False, True]
+        for r in (3, 7, 8):
+            assert stabbing._exceeds([beyond, inside], r) == [r < 8, r < 8]
+        # only the curve beyond the bound reaches the sweep (at r = 8 no
+        # curve does: eight segments)
+        assert len(swept) == 2 and all(poly is beyond for poly in swept)
+        assert max_line_multiplicity(beyond).count == 8
+
+    def test_decides_a_fixed_share_of_falsify_curves(self, monkeypatch):
+        marked = []
+        screen = stabbing._witness_screen
+
+        def recording(polys, r):
+            out = screen(polys, r)
+            marked.extend(out)
+            return out
+
+        monkeypatch.setattr(stabbing, "_witness_screen", recording)
+        falsify(SQUARE, 3, 40, 508)
+        # 35 of the 40 curves have more than 3 segments; the screen proves 28
+        # of them exceed 3 (the sweep finds 7 more within 3 or above it)
+        assert (len(marked), sum(marked)) == (35, 28)
 
 
 class TestRanks:

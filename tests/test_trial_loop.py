@@ -1,6 +1,6 @@
 """Falsify's trial loop: the scalar star ring against the numpy ring it
 replaced, count-only replays against `line_multiplicity`, and the segment
-bound that decides short curves without a sweep."""
+bound and witness screen that decide curves without a sweep."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -117,19 +117,27 @@ class TestCountOnly:
 
 
 # ---------------------------------------------------------------------------
-# the segment bound
+# the segment bound and the witness screen
 # ---------------------------------------------------------------------------
 
 
 def test_curves_of_at_most_r_segments_reach_no_sweep(monkeypatch):
-    swept = []
+    swept, screened = [], []
 
     class Recording(stabbing._Sweep):
         def __init__(self, polys):
             swept.extend(polys)
             super().__init__(polys)
 
+    screen = stabbing._witness_screen
+
+    def recording(polys, r):
+        marked = screen(polys, r)
+        screened.extend(zip(polys, marked))
+        return marked
+
     monkeypatch.setattr(stabbing, "_Sweep", Recording)
+    monkeypatch.setattr(stabbing, "_witness_screen", recording)
     rng = np.random.default_rng(5)
     r = 3
     short = [random_walk_polyline(rng, SQUARE, k) for k in (1, 2, 3, 3)]
@@ -138,9 +146,14 @@ def test_curves_of_at_most_r_segments_reach_no_sweep(monkeypatch):
     long += [random_star_ring(rng, SQUARE, 8), Polyline(SQUARE.ring, closed=True)]
 
     assert stabbing._exceeds(short, r) == [False] * len(short)
-    assert swept == []
+    assert swept == [] and screened == []
     curves = short + long
     over = stabbing._exceeds(curves, r)
-    assert sorted(map(id, swept)) == sorted(map(id, long))
+    # the long curves are screened, and those the screen does not decide
+    # are swept
+    assert sorted(id(poly) for poly, _ in screened) == sorted(map(id, long))
+    undecided = [poly for poly, marked in screened if not marked]
+    assert sorted(map(id, swept)) == sorted(map(id, undecided))
+    assert 0 < len(undecided) < len(long)
     assert over == [max_line_multiplicity(poly).count > r for poly in curves]
     assert any(over)

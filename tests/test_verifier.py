@@ -18,7 +18,7 @@ from konvex.geometry import (
     polyline_length,
 )
 from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
-from konvex.stabbing import find_stabbing_line, max_line_multiplicity
+from konvex.stabbing import find_stabbing_line, max_line_multiplicity, random_line_oracle
 from konvex.verifier import (
     BoundReport,
     check_upper_bound,
@@ -160,6 +160,16 @@ class TestFalsify:
     def test_rejects_zero_trials(self):
         with pytest.raises(PreconditionError):
             falsify(SQUARE, 2, trials=0, seed=1)
+
+    def test_rejects_negative_seeds(self):
+        ring = Polyline(SQUARE.ring, closed=True)
+        for call in (
+            lambda: falsify(SQUARE, 2, trials=5, seed=-1),
+            lambda: ConstructionParams(r=3, eps=0.1, seed=-1),
+            lambda: random_line_oracle(ring, 10, -1),
+        ):
+            with pytest.raises(PreconditionError, match="seed must be non-negative"):
+                call()
 
     def test_closed_walk_needs_three_segments(self):
         # a closed walk has n_segments vertices
