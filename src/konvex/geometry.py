@@ -290,10 +290,13 @@ class ConvexPolygon:
 
     ring: tuple[Point, ...]
     # not fields: the metrics, stored by `perimeter` and `diameter` on first
-    # use, and the integer view, stored by `grid`
+    # use, the integer view, stored by `grid`, and the walk fan and star
+    # frame, stored by `random_shapes`
     _perimeter = None
     _diameter = None
     _grid = None
+    _walk_fan = None
+    _star_frame = None
 
     def __post_init__(self):
         object.__setattr__(self, "ring", tuple(self.ring))

@@ -73,15 +73,16 @@ upper end count the edges that the line 2a·X + 2b·Y = p + q crosses, for
 every gap p < q between consecutive distinct projections.  That line
 passes through no vertex, and its count is exact.  A curve whose largest
 count exceeds r replays those lines, in descending count, until an exact
-count reaches r + 1.  On the benchmark's falsify cycle the screen decides
-1128 of the 1166 curves above r (97 %).  Only the curves it leaves are
-swept.  A curve whose every score is at most r is within r with no replay,
-since the scores bound every line's count; any other curve is replayed in
-descending score order until a count reaches r + 1 or the scores left
-cannot, so every count above r that it acts on is an exact replay.  Those
-replays need only counts: they decide on the candidate's integer line
-directly and build no rational `Line`, so falsify judges its grid-born
-curves with no `Fraction` at all.
+count reaches r + 1; such a line meets the curve only in crossings, so its
+replay counts distinct crossing places, with no pieces to merge.  On the
+benchmark's falsify cycle the screen decides 1128 of the 1166 curves above
+r (97 %).  Only the curves it leaves are swept.  A curve whose every score
+is at most r is within r with no replay, since the scores bound every
+line's count; any other curve is replayed in descending score order until
+a count reaches r + 1 or the scores left cannot, so every count above r
+that it acts on is an exact replay.  Those replays need only counts: they
+decide on the candidate's integer line directly and build no rational
+`Line`, so falsify judges its grid-born curves with no `Fraction` at all.
 """
 
 from __future__ import annotations
@@ -122,6 +123,10 @@ _TINY = 1e-290  # absolute floor of the angle band: covers subnormal rounding
 # error of subnormal products.
 _FILTER = 16.0 * sys.float_info.epsilon
 _UNDERFLOW = 2.0**-1000
+# vertices of the largest polyline swept or scanned for simplicity: the
+# sweep is O(n² log n) and the scan O(n²).  Sweeping a random walk of 8192
+# vertices took 22 s on a 2-vCPU Xeon; the tests sweep at most 397 vertices
+_VERTEX_BUDGET = 1 << 13
 _SWEEP_ENTRIES = 1 << 18  # pivot-by-vertex entries per sweep chunk
 _BATCH_ENTRIES = 1 << 16  # padded pivot-by-vertex entries per batch of several curves
 _GENERIC_TRIES = 8  # open-cell witness shifts tried before giving up
@@ -301,6 +306,35 @@ def _grid_count(poly: Polyline, coefs: tuple[int, int, int]) -> int:
     """The component count of `_grid_multiplicity`, with no end points and
     no `Component`s built."""
     return len(_merged_pieces(poly, coefs)[0])
+
+
+def _gap_count(poly: Polyline, coefs: tuple[int, int, int]) -> int:
+    """`_grid_count` of a line a·X + b·Y = c, for coefs (a, b, c), that
+    passes through no vertex of the polyline: every piece is then the
+    crossing of an edge whose ends lie on opposite sides, and the count is
+    the number of distinct crossing places on the line.  Each place
+    (num, den) is keyed by its float num/den.  Int true division rounds
+    correctly, so equal places share a key; places that share one are
+    told apart exactly, reduced to lowest terms."""
+    _, xs, ys = poly.grid
+    a, b, c = coefs
+    values = [a * x + b * y - c for x, y in zip(xs, ys)]
+    places: dict[float, list[tuple[int, int]]] = {}
+    for _, i, j in _segment_endpoints(poly):
+        vi, vj = values[i], values[j]
+        if (vi > 0) != (vj > 0):
+            # the crossing (vi·tj - vj·ti) / (vi - vj), t = b·X - a·Y
+            num = vi * (b * xs[j] - a * ys[j]) - vj * (b * xs[i] - a * ys[i])
+            places.setdefault(num / (vi - vj), []).append((num, vi - vj))
+    count = len(places)
+    for same in places.values():
+        if len(same) > 1:
+            reduced = set()
+            for num, den in same:
+                g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+                reduced.add((num // g, den // g))
+            count += len(reduced) - 1
+    return count
 
 
 def proper_crossings(line: Line, poly: Polyline) -> int:
@@ -669,7 +703,13 @@ def _sweep_best(
     polyline whose scores all stay at or below `floor` is not replayed
     (None): its scores already bound every line's count by `floor`.  With
     witness=False the reports hold the exact count and the method only: no
-    line and no components (see `_Sweep.replay`)."""
+    line and no components (see `_Sweep.replay`).  A polyline of more than
+    _VERTEX_BUDGET vertices is refused with PreconditionError."""
+    if any(len(poly) > _VERTEX_BUDGET for poly in polys):
+        raise PreconditionError(
+            f"polylines of more than {_VERTEX_BUDGET} vertices are refused: "
+            "the exact sweep is O(n^2 log n)"
+        )
     sweep = _Sweep(polys)
     best: list[MultiplicityReport | None] = [None] * len(polys)
     for rows, scores, rep in sweep.scored_chunks():
@@ -756,9 +796,11 @@ def _witness_gaps(polys: Sequence[Polyline]) -> tuple[list[int], np.ndarray, np.
 
 def _witness_screen(polys: Sequence[Polyline], r: int) -> list[bool]:
     """Whether a gap line of `_witness_gaps` meets each polyline more than
-    r times, by an exact count-only replay (`_grid_count`).  The normals of
-    a polyline are tried in descending table count while the count exceeds
-    r; the count bounds the replay's, which falls short only when crossings
+    r times, by an exact count of its distinct crossing places
+    (`_gap_count`): a gap line passes through no vertex, so that count is
+    `_grid_count`'s with no pieces merged.  The normals of a polyline are
+    tried in descending table count while the count exceeds r; the table
+    count bounds the exact one, which falls short only when crossings
     coincide.  False leaves the polyline undecided."""
     marked = [False] * len(polys)
     fits, counts, sums = _witness_gaps(polys)
@@ -769,7 +811,7 @@ def _witness_screen(polys: Sequence[Polyline], r: int) -> list[bool]:
             if counts[row, k] <= r:
                 break
             a, b = _WITNESS_NORMALS[k]
-            if _grid_count(poly, (2 * a, 2 * b, int(sums[row, k]))) > r:
+            if _gap_count(poly, (2 * a, 2 * b, int(sums[row, k]))) > r:
                 marked[fits[row]] = True
                 break
     return marked
@@ -783,11 +825,12 @@ def _exceeds(polys: Sequence[Polyline], r: int) -> list[bool]:
     segments is within r and is not swept.  The others are taken in batches
     (`_batches`), and each batch is first screened (`_witness_screen`): an
     exact replay of a gap line through no vertex that reaches r + 1 proves
-    the polyline exceeds r with no sweep.  The screen cannot prove a
-    polyline within r, so the ones it leaves are swept.  A polyline whose
-    scores all stay at or below r needs no replay; otherwise it exceeds r
-    exactly when an exact replay reaches r + 1.  All these replays are
-    count-only (`_grid_count`, and witness=False in `_sweep_best`): each
+    the polyline exceeds r with no sweep.  That replay counts the line's
+    distinct crossing places (`_gap_count`), since it meets no vertex.  The
+    screen cannot prove a polyline within r, so the ones it leaves are
+    swept.  A polyline whose scores all stay at or below r needs no replay;
+    otherwise it exceeds r exactly when an exact replay reaches r + 1.  The
+    sweep's replays are count-only (witness=False in `_sweep_best`): each
     builds the merged pieces of its line and takes their number, with no
     line, end points or components."""
     over = [False] * len(polys)

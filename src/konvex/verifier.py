@@ -30,10 +30,11 @@ from .geometry import (
     polyline_length,
     s_bound,
 )
-from .random_shapes import random_star_ring, random_walk_polyline
+from .random_shapes import random_star_ring, random_walk_polyline, trial_streams
 from .stabbing import (
     MultiplicityReport,
     _SWEEP_ENTRIES,
+    _VERTEX_BUDGET,
     _exceeds,
     find_stabbing_line,
     max_line_multiplicity,
@@ -134,12 +135,13 @@ def _trial_blocks(
     body: ConvexPolygon, r: int, trials: int, seed: int
 ) -> Iterator[list[tuple[int, str, Polyline]]]:
     """falsify's (trial, generator, curve) triples in trial order, in blocks
-    of about _SWEEP_ENTRIES vertex pairs."""
+    of about _SWEEP_ENTRIES vertex pairs.  Trial t draws from the stream of
+    `np.random.default_rng([seed, t])`; `trial_streams` seeds the trials in
+    batches, with the same states."""
     builder_slots = {trials // 3, (2 * trials) // 3} if trials >= 50 else set()
     block: list[tuple[int, str, Polyline]] = []
     entries = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+    for t, rng in enumerate(trial_streams(seed, trials)):
         if t in builder_slots:
             kind = "builder"
             curve = _builder_curve(body, r, seed + t)
@@ -209,9 +211,15 @@ def prop1_check(poly: Polyline) -> Prop1Result:
 
 def _require_simple(poly: Polyline) -> None:
     """Exact self-intersection scan on the polyline's integer view; adjacency
-    may share only its endpoint."""
+    may share only its endpoint.  The scan is O(n²), so a polyline of more
+    than _VERTEX_BUDGET vertices is refused with PreconditionError."""
     _, xs, ys = poly.grid
     n = len(xs)
+    if n > _VERTEX_BUDGET:
+        raise PreconditionError(
+            f"polylines of more than {_VERTEX_BUDGET} vertices are refused: "
+            "the simplicity scan is O(n^2)"
+        )
     segs = [(i, (i + 1) % n) for i in range(n)] if poly.closed else [
         (i, i + 1) for i in range(n - 1)
     ]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from konvex import geometry, verifier
+from konvex import geometry, stabbing, verifier
 from konvex.builder import ConstructionParams, build_curve
 from konvex.cli import main
 from konvex.formats import serialize_polygon, serialize_polyline
@@ -338,3 +338,44 @@ class TestProp1:
         )
         with pytest.raises(NotSimpleError):
             prop1_check(spur)
+
+
+class TestVertexBudget:
+    """Curves of more than `stabbing._VERTEX_BUDGET` vertices are refused
+    before any quadratic work: the sweep is patched to fail, and the
+    simplicity scan would fail fast on the bow-tie each curve starts with."""
+
+    @staticmethod
+    def curve(n: int, closed: bool) -> Polyline:
+        # a bow-tie (segments 0 and 2 cross), then a row of distinct points
+        xs = [0, 2, 2, 0] + [10 + k for k in range(n - 4)]
+        ys = [0, 2, 0, 2] + [5] * (n - 4)
+        return Polyline.from_grid(1, xs, ys, closed=closed)
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        def refuse(polys):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(stabbing, "_Sweep", refuse)
+
+    def test_sweep(self):
+        budget = stabbing._VERTEX_BUDGET
+        for closed in (False, True):
+            with pytest.raises(PreconditionError, match="vertices are refused"):
+                max_line_multiplicity(self.curve(budget + 1, closed))
+        with pytest.raises(AssertionError, match="swept"):
+            max_line_multiplicity(self.curve(budget, False))
+
+    def test_simplicity_scan(self):
+        budget = stabbing._VERTEX_BUDGET
+        with pytest.raises(PreconditionError, match="vertices are refused"):
+            prop1_check(self.curve(budget + 1, True))
+        with pytest.raises(NotSimpleError):
+            prop1_check(self.curve(budget, True))
+
+    def test_analyze_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text(serialize_polyline(self.curve(stabbing._VERTEX_BUDGET + 1, False)))
+        assert main(["analyze", str(path)]) == 1
+        assert "vertices are refused" in capsys.readouterr().err
