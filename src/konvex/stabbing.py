@@ -18,10 +18,10 @@ sorted run ends give every interval's crossing count at once: O(n² log n)
 over all pivots.  Each interval yields three candidates (the line through
 the pivot, and the two open cells beside it, which also cross the pivot's
 incident edges) and each event direction one more (the line through the
-pivot and its collinear group).  A candidate's score counts the strict
-crossings and zero runs of its sign vector, the `_count_from_signs`
-formula: an upper bound on its component count, tight unless intersection
-points coincide.
+pivot and its collinear group).  A candidate's score is the number of
+edges whose ends lie strictly on opposite sides of its line plus the number
+of maximal runs of consecutive vertices on it: an upper bound on its
+component count, tight unless intersection points coincide.
 
 Exactness contract: every reported count is produced by `line_multiplicity`
 (or its integer core `_grid_multiplicity`, given the line's integer lift),
@@ -33,24 +33,20 @@ a·X + b·Y - c·D, its place along the line is b·X - a·Y, and a crossing of
 edge (i, j) sits at (vᵢ·tⱼ - vⱼ·tᵢ)/(vᵢ - vⱼ), compared by cross
 multiplication; a component's float ends are int true divisions, which
 round correctly, exactly as float() of the Fraction would.  The sweep and
-the oracle read a polyline only through that grid.  Their float view is
-the polyline's own, X/D, an int true division with the same bits as
+the oracle read a polyline only through that grid.  The sweep's float view
+is the polyline's own, X/D, an int true division with the same bits as
 `Point.xy`.  The sweep ranks each curve's coordinates on its grid ints,
 orders directions by float angle and re-decides every pair of angles that
 its rounding-error band cannot separate with an int cross product of grid
 differences, so its intervals and scores are exact, and its witnesses are
-rational lines built from grid ints.  The random oracle screens its float
-lines by direction bucket: each bucket sorts the vertices' projections onto
-its centre direction once, every vertex of a line in the bucket lies within
-a proven distance delta of its projection, and a line whose offset clears
-every projection by delta reads its crossing count from a prefix-sum table
-over that order, with no per-vertex work.  A line with one vertex within
-delta decides that vertex by its float sign outside the rounding band;
-any other line takes the dense screen, whose projection gives the
-vertices' signs, and only banded vertices are re-decided, in ints against
-the line's exact lift.  Both replay candidates exactly in descending
-score order until no remaining score can beat the best exact count, so
-screening never changes a reported number.
+rational lines built from grid ints.  The random oracle and the witness
+screen count crossings with one exact integer table (`_crossing_table`) of
+the grid ints' sorted projections on integer normals.  The oracle's lines
+lie on 2048 fixed normals, half way between two integer projections, so no
+line passes through a vertex and every screen count is exact.  The sweep
+and the oracle replay candidates exactly in descending score until no
+remaining score can beat the best exact count, so screening never changes
+a reported number.
 
 `find_stabbing_line` runs the same sweep and replay but stops at the first
 candidate whose exact count reaches r + 1, so the constructive direction of
@@ -67,11 +63,10 @@ trial curves, sorted by vertex count, into batches of at most
 _BATCH_ENTRIES padded entries and asks only whether some line meets a
 curve more than r times.  One exact line with r + 1 components answers
 that, so each batch first takes the witness screen: for each of 16 small
-integer normals (a, b), the grid ints' projections a·X + b·Y are sorted in
-int64, and prefix sums of each edge's +1 at its lower end and -1 at its
-upper end count the edges that the line 2a·X + 2b·Y = p + q crosses, for
-every gap p < q between consecutive distinct projections.  That line
-passes through no vertex, and its count is exact.  A curve whose largest
+integer normals (a, b), the crossing table counts, in int64, the edges that
+the line 2a·X + 2b·Y = p + q crosses, for every gap p < q between
+consecutive distinct projections.  That line passes through no vertex, and
+its count is exact.  A curve whose largest
 count exceeds r replays those lines, in descending count, until an exact
 count reaches r + 1; such a line meets the curve only in crossings, so its
 replay counts distinct crossing places, with no pieces to merge.  On the
@@ -116,13 +111,10 @@ METHOD_SWEEP = "rotational_sweep"
 # coordinate differences (below 2^1002) then stay finite in double precision.
 _COORD_LIMIT = 2.0**500
 _TINY = 1e-290  # absolute floor of the angle band: covers subnormal rounding
-# Relative width of the float bands: the sweep's angle band, the oracle's
-# sign band and the projection witness's margin floor.  Each float result
-# there errs by a few eps of its operands' magnitudes; 16 eps leaves a wide
-# margin.  _UNDERFLOW, added to the oracle's band, covers the absolute
-# error of subnormal products.
+# Relative width of the float bands: the sweep's angle band and the
+# projection witness's margin floor.  Each float result there errs by a few
+# eps of its operands' magnitudes; 16 eps leaves a wide margin.
 _FILTER = 16.0 * sys.float_info.epsilon
-_UNDERFLOW = 2.0**-1000
 # vertices of the largest polyline swept or scanned for simplicity: the
 # sweep is O(n² log n) and the scan O(n²).  Sweeping a random walk of 8192
 # vertices took 22 s on a 2-vCPU Xeon; the tests sweep at most 397 vertices
@@ -130,10 +122,7 @@ _VERTEX_BUDGET = 1 << 13
 _SWEEP_ENTRIES = 1 << 18  # pivot-by-vertex entries per sweep chunk
 _BATCH_ENTRIES = 1 << 16  # padded pivot-by-vertex entries per batch of several curves
 _GENERIC_TRIES = 8  # open-cell witness shifts tried before giving up
-_SCREEN_CHUNK = 8192  # random lines per generator draw: it fixes the oracle's random stream
-_SCREEN_ENTRIES = 1 << 15  # line-by-vertex entries per densely screened block
-_SCREEN_BUCKETS = 2048  # direction buckets of the oracle's screen
-_BUCKET_ENTRIES = 1 << 16  # bucket-by-vertex table entries per slice of buckets
+_TABLE_ENTRIES = 1 << 16  # normal-by-vertex entries per slice of the oracle's tables
 # small primitive integer normals (a, b) of the witness screen in `_exceeds`,
 # about every π/16 over [0, π)
 _WITNESS_NORMALS = (
@@ -144,6 +133,15 @@ _WITNESS_A, _WITNESS_B = np.array(_WITNESS_NORMALS).T[:, :, None]
 # grid ints within ±_WITNESS_BOUND keep every projection a·X + b·Y below 2^62
 # in absolute value, and every sum of two within int64
 _WITNESS_BOUND = (2**62 - 1) // max(abs(a) + abs(b) for a, b in _WITNESS_NORMALS)
+# the oracle's integer normals (a, b) = round(4096·(cos φ, sin φ)), one at
+# the centre φ = (j + ½)·π/2048 of each of 2048 direction buckets, and its
+# int64 bound, which keeps every projection below 2^62 in absolute value
+_ORACLE_BUCKETS = 2048
+_ORACLE_NORMALS = np.array([
+    (round(4096 * math.cos(phi)), round(4096 * math.sin(phi)))
+    for phi in ((j + 0.5) * math.pi / _ORACLE_BUCKETS for j in range(_ORACLE_BUCKETS))
+])
+_ORACLE_BOUND = (2**62 - 1) // int(np.abs(_ORACLE_NORMALS).sum(axis=1).max())
 
 # sweep candidates for a pivot and its angular interval (or event) k
 _EVENT = 0  # the line through the pivot and the vertices of event k
@@ -750,9 +748,27 @@ def _batches(polys: Sequence[Polyline]) -> Iterator[list[int]]:
         yield batch
 
 
+def _crossing_table(
+    xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For open chains of grid ints (xs, ys), their vertices along the last
+    axis, and integer normals (a, b) broadcast against them: the
+    projections a·X + b·Y sorted along that axis, and at each place the
+    number of edges that a line a·X + b·Y = t crosses, for t between that
+    projection and the next when they differ (0 at the last place).  Exact
+    in the arrays' dtype: int64, or Python ints in object arrays."""
+    proj = a * xs + b * ys
+    # each edge weighs +1 at its lower end and -1 at its upper end
+    weight = np.diff(np.sign(np.diff(proj, axis=-1)), axis=-1, prepend=0, append=0)
+    order = np.argsort(proj, axis=-1)
+    crossed = np.cumsum(np.take_along_axis(weight, order, axis=-1), axis=-1)
+    return np.take_along_axis(proj, order, axis=-1), crossed
+
+
 def _witness_gaps(polys: Sequence[Polyline]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The witness screen's table: for each polyline it screens and each
-    normal (a, b) of _WITNESS_NORMALS, the largest number of edges crossed
+    """The witness screen's reading of the crossing table
+    (`_crossing_table`): for each polyline it screens and each normal
+    (a, b) of _WITNESS_NORMALS, the largest number of edges crossed
     by a line a·X + b·Y = t on the polyline's integer grid with t strictly
     between two consecutive distinct projections p < q, and the first such
     gap's p + q.  So the line 2a·X + 2b·Y = p + q passes through no vertex,
@@ -781,14 +797,9 @@ def _witness_gaps(polys: Sequence[Polyline]) -> tuple[list[int], np.ndarray, np.
             ys.extend(py)
             ys.extend([py[end]] * fill)
     grid = np.array([xs, ys], dtype=np.int64).reshape(2, len(fits), 1, width)
-    # projections: polyline × normal × vertex
-    proj = _WITNESS_A * grid[0] + _WITNESS_B * grid[1]
-    # each edge weighs +1 at its lower end and -1 at its upper end
-    weight = np.diff(np.sign(np.diff(proj, axis=2)), axis=2, prepend=0, append=0)
-    order = np.argsort(proj, axis=2)
-    proj = np.take_along_axis(proj, order, axis=2)
-    crossed = np.cumsum(np.take_along_axis(weight, order, axis=2), axis=2)[:, :, :-1]
-    counts = np.where(proj[:, :, 1:] > proj[:, :, :-1], crossed, 0)
+    # polyline × normal × vertex
+    proj, crossed = _crossing_table(grid[0], grid[1], _WITNESS_A, _WITNESS_B)
+    counts = np.where(proj[:, :, 1:] > proj[:, :, :-1], crossed[:, :, :-1], 0)
     gap = counts.argmax(axis=2)[:, :, None]
     sums = np.take_along_axis(proj, gap, axis=2) + np.take_along_axis(proj, gap + 1, axis=2)
     return fits, counts.max(axis=2), sums[:, :, 0]
@@ -856,299 +867,85 @@ def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
 
 
 # ---------------------------------------------------------------------------
-# independent check: screened random lines
+# independent check: random lines on the exact crossing table
 # ---------------------------------------------------------------------------
 
 
-def _count_from_signs(signs: np.ndarray, closed: bool) -> np.ndarray:
-    """Per row of vertex signs: strict crossings plus runs of zeros, the
-    component count of a line whose intersection points are distinct."""
-    if closed:
-        edge_pairs = signs.astype(np.int16) * np.roll(signs, -1, axis=1).astype(np.int16)
-    else:
-        edge_pairs = signs[:, :-1].astype(np.int16) * signs[:, 1:].astype(np.int16)
-    crossings = (edge_pairs < 0).sum(axis=1)
-
-    zeros = signs == 0
-    if closed:
-        runs = (zeros & ~np.roll(zeros, 1, axis=1)).sum(axis=1)
-        all_on = zeros.all(axis=1)
-        if all_on.any():
-            runs[all_on] = 1
-    else:
-        runs = (zeros[:, 1:] & ~zeros[:, :-1]).sum(axis=1) + zeros[:, 0]
-    return (crossings + runs).astype(np.int64)
-
-
-def _lift(coefs: np.ndarray) -> Line:
-    """The exact line of a float (nx, ny, c) row: its rational lift."""
-    return Line(Fraction(float(coefs[0])), Fraction(float(coefs[1])), Fraction(float(coefs[2])))
-
-
-def _sign_band(nx: np.ndarray, ny: np.ndarray, c: np.ndarray, mag: np.ndarray) -> np.ndarray:
-    """Bound on the error of the float value nx·x + ny·y - c of a float
-    vertex with |x| <= mag[0] and |y| <= mag[1], against the exact value of
-    the exact vertex on the line's rational lift."""
-    return _FILTER * (np.abs(nx) * mag[0] + np.abs(ny) * mag[1] + np.abs(c)) + _UNDERFLOW
-
-
-def _screen(poly: Polyline, pts: np.ndarray, lines: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """`_count_from_signs` of every float line (an (nx, ny, c) row, taken as
-    its rational lift) against the polyline, from the projections
-    `proj[i, j] = nx_i·x_j + ny_i·y_j` of its float vertices `pts`, which
-    it overwrites.
-
-    A vertex outside the error band has the float sign of proj - c.  A row
-    whose vertices all clear the band has no zeros, so its count is the
-    number of sign changes; rows with a banded vertex re-decide those
-    vertices exactly against the lifted line.  The count can exceed the
-    true component count only through coincident intersection points, so
-    it is a sound upper bound used to rank and prune lines.
-    """
-    vals = np.subtract(proj, lines[:, 2:3], out=proj)
-    band = _sign_band(lines[:, 0], lines[:, 1], lines[:, 2], np.abs(pts).max(axis=0))
-    left = vals > 0
-    counts = np.count_nonzero(left[:, 1:] != left[:, :-1], axis=1)
-    if poly.closed:
-        counts += left[:, 0] != left[:, -1]
-    np.abs(vals, out=vals)
-    banded_rows = np.flatnonzero(vals.min(axis=1) <= band)
-    if banded_rows.size:
-        d, xs, ys = poly.grid
-        signs = np.where(left[banded_rows], 1, -1).astype(np.int8)
-        for i, row in enumerate(banded_rows):
-            a, b, c = _integer_line(lines[row].tolist(), d)
-            for col in np.flatnonzero(vals[row] <= band[row]).tolist():
-                value = a * xs[col] + b * ys[col] - c
-                signs[i, col] = (value > 0) - (value < 0)
-        counts[banded_rows] = _count_from_signs(signs, poly.closed)
-    return counts
-
-
-def _draw_lines(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The oracle's random stream: per chunk of _SCREEN_CHUNK lines, the
-    angles θ (uniform on [0, π)) and then the offset fractions u.  Returns
-    the rows (cos θ, sin θ, offset not yet set), u and each line's direction
-    bucket ⌊θ·B/π⌋."""
+def _oracle_lines(poly: Polyline, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's random lines 2a·X + 2b·Y = 2k + 1 on the polyline's
+    integer grid, as (2a, 2b, 2k + 1) rows in ascending bucket j, and the
+    exact number of edges each crosses.  The bucket is uniform over the
+    normals (a, b) = _ORACLE_NORMALS[j], and k = lo + ⌊u·(hi - lo)⌋, for u
+    uniform on [0, 1) and the normal's extreme projections lo <= hi, so by
+    parity no line passes through a vertex.  Tables are built for the drawn
+    normals only, in slices of at most _TABLE_ENTRIES entries, in int64
+    while the grid ints lie within ±_ORACLE_BOUND and in Python ints beyond.
+    u·(hi - lo) is a float product in int64, below 2^63, and exact in Python
+    ints, as (hi - lo)·u·2^53 >> 53."""
     rng = np.random.default_rng(seed)
-    lines = np.empty((trials, 3))
-    u = np.empty(trials)
-    bucket = np.empty(trials, dtype=np.int16)
-    for start in range(0, trials, _SCREEN_CHUNK):
-        rows = slice(start, min(start + _SCREEN_CHUNK, trials))
-        theta = rng.uniform(0.0, math.pi, rows.stop - start)
-        u[rows] = rng.random(rows.stop - start)
-        lines[rows, 0], lines[rows, 1] = np.cos(theta), np.sin(theta)
-        bucket[rows] = theta * (_SCREEN_BUCKETS / math.pi)
-    return lines, u, np.minimum(bucket, _SCREEN_BUCKETS - 1, out=bucket)
+    bucket = np.sort((_ORACLE_BUCKETS * rng.random(trials)).astype(np.int64))
+    u = rng.random(trials)
+    _, xs, ys = poly.grid
+    wide = max(map(abs, xs + ys)) > _ORACLE_BOUND
+    dtype = object if wide else np.int64
+    # a closed curve repeats its first vertex, which closes it
+    chain = np.array([xs + xs[: poly.closed], ys + ys[: poly.closed]], dtype=dtype)
 
-
-def _extreme(
-    pts: np.ndarray, order: np.ndarray, near: np.ndarray, local: np.ndarray,
-    nx: np.ndarray, ny: np.ndarray, reduce: Callable,
-) -> np.ndarray:
-    """`reduce` (np.min or np.max) of the float projections nx·x + ny·y, as
-    the dense screen computes them, over each line's candidates: the first
-    near[k] vertices of its bucket k's `order`.  Buckets are grouped by
-    their candidate count rounded up to a power of two; a shorter row
-    repeats its last candidate."""
-    out = np.empty(len(local))
-    width = np.left_shift(1, np.frexp(near - 0.5)[1])
-    for w in np.unique(width).tolist():
-        sel = np.flatnonzero(width[local] == w)
-        at = local[sel]
-        cand = np.take_along_axis(order, np.minimum(np.arange(w), near[:, None] - 1), axis=1)
-        cx, cy = pts[cand, 0][at], pts[cand, 1][at]
-        out[sel] = reduce(nx[sel, None] * cx + ny[sel, None] * cy, axis=1)
-    return out
-
-
-class _BucketScreen:
-    """The oracle's screen of one polyline's lines by direction bucket.
-
-    Each bucket projects the float vertices, relative to the centre o of
-    their bounding box, onto its centre direction and sorts them once.  Its
-    crossing table counts, for every gap of that order, the edges with one
-    end on each side.  A line's offset takes the float extent over the
-    vertices within 2·delta of either end of its bucket's order.  Its key,
-    offset - n·o, then falls in one gap.  When the gap's ends lie more than
-    delta from the key, every vertex lies on the side of the line that its
-    bucket projection shows, none on it, and the count is the gap's entry
-    in the table.  When one vertex lies within delta of the key and its
-    neighbours in the order clear it, that vertex's float value decides its
-    side outside `_screen`'s rounding band, and the count is the entry of
-    the gap on its other side.  Any other line is left to `_screen`.
-    """
-
-    def __init__(self, pts: np.ndarray, closed: bool, lines: np.ndarray, u: np.ndarray):
-        self.pts, self.closed, self.lines, self.u = pts, closed, lines, u
-        self.centre = (pts.min(axis=0) + pts.max(axis=0)) / 2
-        self.rel = pts - self.centre
-        self.radius = float(np.hypot(self.rel[:, 0], self.rel[:, 1]).max())
-        self.mag = np.abs(pts).max(axis=0)
-        # the direction term, then every rounding: each float quantity on
-        # the way is below 4·Σ max|coordinate| and rounds a few dozen times
-        self.delta = (
-            self.radius * (math.pi / (2 * _SCREEN_BUCKETS)) * (1 + 2.0**-20)
-            + 4.0 * _FILTER * float(self.mag.sum())
-            + _UNDERFLOW
-        )
-        self.counts = np.empty(len(lines), dtype=np.int64)
-
-    def decide(self, buckets: np.ndarray, rows: np.ndarray, local: np.ndarray) -> np.ndarray:
-        """Set the offsets of the lines `rows`, line rows[i] in the bucket
-        buckets[local[i]], and the counts of those the tables decide; return
-        the others."""
-        pts, delta, n, m = self.pts, self.delta, len(self.pts), len(buckets)
-        phi = (buckets + 0.5) * (math.pi / _SCREEN_BUCKETS)
-        proj = np.multiply.outer(np.cos(phi), self.rel[:, 0])
-        proj += np.multiply.outer(np.sin(phi), self.rel[:, 1])
-        order = np.argsort(proj, axis=1)
-
-        # table[k, j]: the edges that a line of bucket k crosses when j
-        # vertices lie below it, those whose lower end in the order comes
-        # before place j and whose upper end does not.  Each vertex weighs
-        # its edges up minus its edges down.  Projections that tie weigh 0:
-        # no count is read at a gap between them, since a key clears both
-        # ends of its gap or the one vertex decided there lies within
-        # delta of the key, on its own side.
-        up = np.sign(np.diff(proj, axis=1)).astype(np.int32)
-        weight = np.zeros((m, n), dtype=np.int32)
-        weight[:, :-1] += up
-        weight[:, 1:] -= up
-        if self.closed:
-            back = np.sign(proj[:, 0] - proj[:, -1]).astype(np.int32)
-            weight[:, -1] += back
-            weight[:, 0] -= back
-        table = np.zeros((m, n + 1), dtype=np.int32)
-        np.cumsum(np.take_along_axis(weight, order, axis=1), axis=1, out=table[:, 1:])
-        proj = np.take_along_axis(proj, order, axis=1)
-
-        # one search over all the buckets' sorted projections, each bucket
-        # shifted clear of the others: rounding is monotone, so a count of
-        # candidates is never short
-        shift = np.arange(m) * (4.0 * (self.radius + 4.0 * delta))
-        flat = (proj + shift[:, None]).ravel()
-        base = np.arange(0, m * n, n)
-        near_low = np.searchsorted(flat, proj[:, 0] + 2 * delta + shift, "right") - base
-        near_high = base + n - np.searchsorted(flat, proj[:, -1] - 2 * delta + shift, "left")
-        nx, ny = self.lines[rows, 0], self.lines[rows, 1]
-        low = _extreme(pts, order, near_low, local, nx, ny, np.min)
-        high = _extreme(pts, order[:, ::-1], near_high, local, nx, ny, np.max)
-        # the offset uniform over [low, high), exactly as Generator.uniform draws it
-        offsets = low + (high - low) * self.u[rows]
-        self.lines[rows, 2] = offsets
-        key = offsets - (nx * self.centre[0] + ny * self.centre[1])
-
-        # the key's gap (a wrong one fails the tests below) and its fenced
-        # neighbours, at places gap - 2 .. gap + 1 of the bucket's order
-        gap = np.searchsorted(flat, key + shift[local]) - base[local]
-        np.clip(gap, 0, n, out=gap)
-        fenced = np.pad(proj, ((0, 0), (2, 2)), constant_values=(-np.inf, np.inf))
-        below = [fenced[local, gap + k] < key - delta for k in (0, 1)]
-        above = [fenced[local, gap + k] > key + delta for k in (2, 3)]
-        clear = below[1] & above[0]
-        self.counts[rows[clear]] = table[local[clear], gap[clear]]
-        # exactly one vertex within delta: at place gap - 1 or gap
-        place = np.where(below[1], gap, gap - 1)
-        one = np.flatnonzero(np.where(below[1], above[1], below[0]) & (below[1] ^ above[0]))
-        v = order[local[one], place[one]]
-        value = nx[one] * pts[v, 0] + ny[one] * pts[v, 1] - offsets[one]
-        decided = np.abs(value) > _sign_band(nx[one], ny[one], offsets[one], self.mag)
-        one = one[decided]
-        self.counts[rows[one]] = table[local[one], place[one] + (value[decided] < 0)]
-        clear[one] = True
-        return rows[~clear]
-
-
-def _screened_lines(poly: Polyline, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's random lines, one (nx, ny, c) row each, and their screen
-    counts: the `_count_from_signs` of each line's rational lift.
-
-    Lines are screened by direction bucket (`_BucketScreen`): [0, π) is
-    split into B = _SCREEN_BUCKETS buckets, and the buckets that hold lines
-    are taken in slices of at most _BUCKET_ENTRIES bucket-by-vertex entries.
-    For a line of direction n = (cos θ, sin θ) in a bucket of centre
-    direction w = (cos φ, sin φ), each vertex v satisfies
-    n·v - n·o = w·(v - o) + (n - w)·(v - o) with |n - w| <= |θ - φ| <= π/2B,
-    so its value differs from its bucket projection by at most
-    delta = max|v - o|·π/2B plus the rounding of the float operations and
-    of the float vertices against the exact ones.
-
-    The extent is bit-identical to a scan of every vertex: the float argmin
-    j of n·v satisfies w·(vⱼ - o) <= n·vⱼ - n·o + delta <= n·vₘ - n·o + delta
-    <= w·(vₘ - o) + 2·delta for the bucket's lowest vertex m, so the vertices
-    within 2·delta of the bottom of the bucket's order include it, and
-    likewise the argmax at the top.  The minimum (maximum) over that
-    superset, of the same two products and one sum, is the dense one.
-
-    A line whose key lies within delta of two or more vertices' bucket
-    projections, or of one whose float value falls in `_screen`'s band, may
-    pass through or near a vertex.  Those lines, 0.3-3 % of them on the
-    builder's curves of 127-237 vertices, take the dense `_screen` in blocks
-    of about _SCREEN_ENTRIES line-by-vertex entries, with its exact
-    re-decisions.  So every count is decided outside a proven error bound,
-    and it is the exact `_count_from_signs` of the lifted line."""
-    pts = _float_points(poly)
-    n = len(pts)
-    lines, u, bucket = _draw_lines(trials, seed)
-    screen = _BucketScreen(pts, poly.closed, lines, u)
-    by_bucket = np.argsort(bucket, kind="stable")
-    size = np.bincount(bucket, minlength=_SCREEN_BUCKETS)
-    present = np.flatnonzero(size)
-    first = np.concatenate([[0], np.cumsum(size[present])])
-    step = max(1, _BUCKET_ENTRIES // n)
-    dense = []
+    # the lines of bucket present[i] are bounds[i]:bounds[i + 1]
+    present, bounds = np.unique(bucket, return_index=True)
+    bounds = np.append(bounds, trials)
+    offset = np.empty(trials, dtype=dtype)
+    counts = np.empty(trials, dtype=np.int64)
+    step = max(1, _TABLE_ENTRIES // chain.shape[1])
     for lo in range(0, len(present), step):
-        part = slice(lo, min(lo + step, len(present)))
-        local = np.repeat(np.arange(part.stop - lo), size[present[part]])
-        dense.append(screen.decide(present[part], by_bucket[first[lo] : first[part.stop]], local))
-    dense = np.sort(np.concatenate(dense))
-
-    counts = screen.counts
-    step = max(1, _SCREEN_ENTRIES // n)
-    for lo in range(0, len(dense), step):
-        rows = dense[lo : lo + step]
-        proj = np.multiply.outer(lines[rows, 0], pts[:, 0])
-        proj += np.multiply.outer(lines[rows, 1], pts[:, 1])
-        counts[rows] = _screen(poly, pts, lines[rows], proj)
-    return lines, counts
+        a, b = _ORACLE_NORMALS[present[lo : lo + step]].T.astype(dtype)[:, :, None]
+        proj, crossed = _crossing_table(chain[0], chain[1], a, b)
+        cuts = bounds[lo : lo + step + 1].tolist()
+        rows = slice(cuts[0], cuts[-1])
+        local = np.repeat(np.arange(len(proj)), np.diff(cuts))
+        low = proj[local, 0]
+        span = proj[local, -1] - low
+        if wide:
+            shift = (span * (u[rows] * 2.0**53).astype(np.int64).astype(object)) >> 53
+        else:
+            shift = (u[rows] * span).astype(np.int64)
+        offset[rows] = low + shift
+        place = np.concatenate([
+            np.searchsorted(levels, offset[i:j], "right")
+            for levels, i, j in zip(proj, cuts, cuts[1:])
+        ])
+        counts[rows] = crossed[local, place - 1]
+    return np.column_stack([2 * _ORACLE_NORMALS[bucket], 2 * offset + 1]), counts
 
 
 def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityReport:
     """Maximum multiplicity over `trials` random lines; the independent check
     for the rotational sweep.
 
-    Directions are uniform on the half-circle; offsets are uniform over the
-    vertices' projection extent for the sampled direction.  Deterministic
-    for a fixed seed.  Coordinates must lie within ±2^500.
-
-    Each line's screen count is the exact `_count_from_signs` of its
-    rational lift, found without projecting every vertex
-    (`_screened_lines`): the lines are grouped into B = _SCREEN_BUCKETS
-    direction buckets of width π/B, and within a bucket each vertex's value
-    on a line differs from its projection onto the bucket's centre direction
-    by at most delta = max|v - o|·π/2B plus rounding, for the centre o of
-    the vertices' bounding box.  The vertices within 2·delta of either end
-    of a bucket's sorted projections form a superset of the float argmin and
-    argmax of every line in it, so the extent, and with it every line, is
-    bit-identical to a scan of all vertices.  A line whose offset clears
-    its bucket's projections by delta reads its count from the bucket's
-    crossing table; the few others are decided vertex by vertex, exactly
-    where floats cannot.  The counts are then replayed exactly in
-    descending order.
+    Directions are uniform over 2048 fixed integer normals and offsets over
+    the vertices' projection extent, between two integer levels, so no line
+    passes through a vertex and each screen count is exact (`_oracle_lines`).
+    The counts are replayed in descending order by the exact count of
+    distinct crossing places (`_gap_count`); only the best line builds its
+    components.  Deterministic for a fixed seed.  Coordinates must lie
+    within ±2^500.
     """
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
     if seed < 0:
         raise PreconditionError("seed must be non-negative")
-    lines, counts = _screened_lines(poly, trials, seed)
-    return _replay_descending(
-        counts,
-        lambda i: line_multiplicity(_lift(lines[i]), poly, METHOD_ORACLE),
-        None,
-        math.inf,
-    )
+    _float_points(poly)  # refuses coordinates beyond ±2^500
+    lines, counts = _oracle_lines(poly, trials, seed)
+    first: dict[int, int] = {}  # the first line replayed to each count
+
+    def replay(i: int) -> MultiplicityReport:
+        count = _gap_count(poly, lines[i].tolist())
+        first.setdefault(count, i)
+        return MultiplicityReport(count, None, METHOD_ORACLE)
+
+    best = _replay_descending(counts, replay, None, math.inf)
+    a, b, c = lines[first[best.count]].tolist()
+    return _grid_multiplicity(poly, (a, b, c), Line(a, b, Fraction(c, poly.grid[0])), METHOD_ORACLE)
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,8 @@ def test_predicates_do_no_fraction_arithmetic(monkeypatch):
     closed = Polyline(ring[::-1] + (Point("1/2", "1/2"),), closed=True)
     crossing = Polyline((Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)))
     zigzag = Polyline(tuple(Point(k, tiny if k % 2 else 0) for k in range(6)))
-    # vertices within 1e-17 of each other: every random line is banded
+    # vertices within 1e-17 of each other: grid ints near 10^17, beyond the
+    # oracle's int64 bound, so its table takes Python ints
     cluster = Polyline(tuple(Point(f"1.{k:017d}", f"1.{k * k % 5:017d}") for k in range(1, 9)))
 
     def refuse(*args):
@@ -336,7 +337,7 @@ def test_predicates_do_no_fraction_arithmetic(monkeypatch):
             _turns_both_ways(closed),
             [outcome(_require_simple, poly) for poly in (closed, crossing, zigzag)],
             [(rows, scores.tolist(), rep.tolist()) for rows, scores, rep in sweep.scored_chunks()],
-            [array.tolist() for array in stabbing._screened_lines(cluster, 300, 5)],
+            [array.tolist() for array in stabbing._oracle_lines(cluster, 300, 5)],
         )
 
     for name in FRACTION_DUNDERS:

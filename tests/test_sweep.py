@@ -2,8 +2,8 @@
 force over the whole line arrangement, its candidate scores against the
 sign-vector formula, a batched sweep against sweeps of one curve each, its
 float filter on near-degenerate and large inputs, and its invariance under
-exact similarity motions; the random oracle's screen counts against exact
-signs; the witness screen of `_exceeds` against a Python-int gap loop."""
+exact similarity motions; the crossing table, the random oracle's counts
+and the witness screen of `_exceeds` against Python-int crossing loops."""
 
 from collections import defaultdict
 from fractions import Fraction
@@ -18,10 +18,16 @@ from konvex.builder import ConstructionParams, build_curve
 from konvex.errors import PreconditionError
 from konvex.geometry import ConvexPolygon, Line, Point, Polyline
 from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
-from konvex.stabbing import line_multiplicity, max_line_multiplicity, random_line_oracle
+from konvex.stabbing import (
+    _crossing_table,
+    line_multiplicity,
+    max_line_multiplicity,
+    random_line_oracle,
+)
 from konvex.verifier import falsify
 
 from fraction_oracle import rigid_motion, side_of
+from sign_formula import count_from_signs
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 
@@ -174,7 +180,7 @@ class TestScores:
                 for flat in np.flatnonzero(scores >= 0):
                     report = sweep.replay(rows, scores, rep, int(flat))
                     signs = np.array([[side_of(report.witness, v) for v in poly.vertices]], np.int8)
-                    assert stabbing._count_from_signs(signs, poly.closed)[0] == scores.flat[flat]
+                    assert count_from_signs(signs, poly.closed)[0] == scores.flat[flat]
                     assert report.count <= scores.flat[flat]
 
     def test_chunks_give_the_same_result(self, monkeypatch):
@@ -405,34 +411,78 @@ class TestRanks:
                 assert ranks[curve, :n].tolist() == [distinct.index(v) for v in values]
 
 
-def exact_counts(poly: Polyline, lines: np.ndarray) -> np.ndarray:
-    """Reference for the oracle's screen: the sign formula on exact sides of
-    each float line's rational lift."""
-    signs = [
-        [side_of(Line(*(Fraction(float(v)) for v in row)), p) for p in poly.vertices]
-        for row in lines
-    ]
-    return stabbing._count_from_signs(np.array(signs, np.int8), poly.closed)
+def level_crossings(xs: list[int], ys: list[int], a: int, b: int, k: int) -> int:
+    """Edges of the open chain (xs, ys) with one end's projection
+    a·X + b·Y at or below k and the other's above it: plain Python ints."""
+    proj = [a * x + b * y for x, y in zip(xs, ys)]
+    return sum(1 for p, q in zip(proj, proj[1:]) if min(p, q) <= k < max(p, q))
 
 
-def lines_through_vertices(poly: Polyline, rng: np.random.Generator, k: int) -> np.ndarray:
-    """Float lines through two vertices each (exact on integer grids)."""
-    verts = poly.vertices
-    rows = []
-    while len(rows) < k:
-        p, q = (verts[int(i)] for i in rng.integers(0, len(verts), 2))
-        if p != q:
-            nx, ny = float(p.y - q.y), float(q.x - p.x)
-            rows.append((nx, ny, nx * float(p.x) + ny * float(p.y)))
-    return np.array(rows)
+@st.composite
+def chains(draw) -> tuple[list[int], list[int]]:
+    """Open chains of small lattice points (repeated points, edges parallel
+    to many normals), closed or not, scaled up to beyond the int64 bound of
+    the oracle's normals and shifted."""
+    raw = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=2, max_size=30))
+    if draw(st.booleans()):  # a closed curve: its first vertex closes it
+        raw.append(raw[0])
+    scale = draw(st.sampled_from([1, 3, 10**13, 2**58, stabbing._ORACLE_BOUND // 4, 2**200]))
+    shift = draw(st.sampled_from([0, 5, -(10**14)]))
+    return [x * scale + shift for x, _ in raw], [y * scale for _, y in raw]
+
+
+_normals = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda n: n != (0, 0))
+
+
+class TestCrossingTable:
+    """The one exact table behind the witness screen and the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chains(), st.lists(_normals | st.sampled_from(stabbing._ORACLE_NORMALS.tolist()),
+                              min_size=1, max_size=4), st.data())
+    def test_counts_against_python_ints(self, chain, normals, data):
+        xs, ys = chain
+        a, b = np.array(normals).T[:, :, None]
+        fits = max(map(abs, xs + ys)) <= (2**62 - 1) // int((abs(a) + abs(b)).max())
+        tables = [_crossing_table(np.array(xs, object), np.array(ys, object), a.astype(object),
+                                  b.astype(object))]
+        if fits:
+            tables.append(_crossing_table(np.array(xs), np.array(ys), a, b))
+        for row, (na, nb) in enumerate(normals):
+            proj = [na * x + nb * y for x, y in zip(xs, ys)]
+            near = data.draw(st.lists(st.sampled_from(proj), min_size=1, max_size=8))
+            levels = [p + d for p in near for d in (-1, 0, 1)] + [min(proj) - 3, max(proj) + 2]
+            for k in levels:
+                expected = level_crossings(xs, ys, na, nb, k)
+                for levels_sorted, crossed in tables:
+                    place = np.searchsorted(levels_sorted[row], k, "right") - 1
+                    assert crossed[row, place] == expected
+
+
+def oracle_lines_are_exact(poly: Polyline, trials: int, seed: int) -> np.ndarray:
+    """Check every line 2a·X + 2b·Y = 2k + 1 of the oracle: its normal one of
+    the oracle's, its level k within the normal's projection extent and its
+    count the Python-int number of edges it crosses.  Returns the counts."""
+    lines, counts = stabbing._oracle_lines(poly, trials, seed)
+    normals = set(map(tuple, stabbing._ORACLE_NORMALS.tolist()))
+    _, xs, ys = poly.grid
+    for (a2, b2, c), count in zip(lines.tolist(), counts.tolist()):
+        a, b, k = a2 // 2, b2 // 2, c // 2
+        assert (a2, b2, c) == (2 * a, 2 * b, 2 * k + 1) and (a, b) in normals
+        proj = [a * x + b * y for x, y in zip(xs, ys)]
+        assert min(proj) <= k <= max(proj)
+        assert strict_crossings(poly, (a2, b2, c)) == count
+    return counts
 
 
 class TestOracleScreen:
+    """The oracle's lines and counts, read from the crossing table, against
+    Python-int crossing counts, and its replays against `_gap_count`."""
+
     @pytest.mark.parametrize("r", [2, 3])
     def test_builder_curves(self, r):
         curve = build_curve(SQUARE, ConstructionParams(r=r, eps=0.1 * r, m=64, seed=7)).curve
-        lines, counts = stabbing._screened_lines(curve, 600, seed=r)
-        assert np.array_equal(counts, exact_counts(curve, lines))
+        oracle_lines_are_exact(curve, 600, seed=r)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_rings_and_grid_polylines(self, seed):
@@ -442,17 +492,38 @@ class TestOracleScreen:
             random_convex_polygon(rng, 9).as_polyline(),
             grid_polyline(rng, 4, 10, closed=bool(seed % 2)),
         ):
-            lines, counts = stabbing._screened_lines(poly, 1500, seed)
-            assert np.array_equal(counts, exact_counts(poly, lines))
+            oracle_lines_are_exact(poly, 1500, seed)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_lines_through_vertices_take_the_exact_path(self, seed):
-        rng = np.random.default_rng([45, seed])
-        poly = grid_polyline(rng, 5, 12, closed=bool(seed % 2))
-        lines = lines_through_vertices(poly, rng, 40)
-        pts = stabbing._float_points(poly)
-        proj = lines[:, :1] * pts[None, :, 0] + lines[:, 1:2] * pts[None, :, 1]
-        assert np.array_equal(stabbing._screen(poly, pts, lines, proj), exact_counts(poly, lines))
+    def test_int64_bound(self, monkeypatch):
+        # grid ints at the bound stay in int64; one past it, the same
+        # table runs on Python ints, over several slices of normals
+        monkeypatch.setattr(stabbing, "_TABLE_ENTRIES", 40)
+        bound = stabbing._ORACLE_BOUND
+        for x, dtype in ((bound, np.int64), (bound + 1, object)):
+            poly = zigzag(x, 9)
+            assert stabbing._oracle_lines(poly, 5, 0)[0].dtype == dtype
+            assert oracle_lines_are_exact(poly, 400, 3).max() == 8
+            assert random_line_oracle(poly, 400, 3).count == 8
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_replays_are_exact(self, seed):
+        # the reported count is the exact count of its witness line, and no
+        # line whose table count exceeds it has an exact count above it
+        rng = np.random.default_rng([47, seed])
+        loop = random_star_ring(rng, SQUARE, n_vertices=10)
+        retraced = Polyline(loop.vertices + loop.vertices[:1] + loop.vertices[1:6])
+        for poly in (retraced, grid_polyline(rng, 4, 14, closed=False)):
+            report = random_line_oracle(poly, 800, seed)
+            lines, counts = stabbing._oracle_lines(poly, 800, seed)
+            lines = lines.tolist()
+            witness = report.witness
+            coefs = [int(v) for v in (witness.nx, witness.ny, witness.c * poly.grid[0])]
+            assert coefs in lines
+            assert report.count == stabbing._gap_count(poly, coefs)
+            assert report.count == line_multiplicity(witness, poly).count
+            exact = [stabbing._gap_count(poly, line) for line in lines]
+            assert all(e <= c for e, c in zip(exact, counts.tolist()))
+            assert max(exact) == report.count
 
 
 class TestFloatFilter:
