@@ -23,12 +23,13 @@ edges whose ends lie strictly on opposite sides of its line plus the number
 of maximal runs of consecutive vertices on it: an upper bound on its
 component count, tight unless intersection points coincide.
 
-Exactness contract: every reported count is produced by `line_multiplicity`
-(or its integer core `_grid_multiplicity`, given the line's integer lift),
-which decides all incidences exactly in Python ints on the polyline's
-integer grid (`Polyline.grid`: every coordinate times D, the lcm of their
-denominators).  A rational line is scaled to integer coefficients by the
-lcm of its own denominators, so a vertex's side is the sign of
+Exactness contract: every reported count is an exact replay, decided in
+Python ints on the polyline's integer grid (`Polyline.grid`: every
+coordinate times D, the lcm of their denominators).  Replays are
+count-first: each returns its count with the grid line behind it; an
+answer's report (`Line`, float components) is built once, by
+`_grid_multiplicity`.  A rational line is scaled to integer coefficients
+by the lcm of its own denominators, so a vertex's side is the sign of
 a·X + b·Y - c·D, its place along the line is b·X - a·Y, and a crossing of
 edge (i, j) sits at (vᵢ·tⱼ - vⱼ·tᵢ)/(vᵢ - vⱼ), compared by cross
 multiplication; a component's float ends are int true divisions, which
@@ -75,9 +76,9 @@ r (97 %).  Only the curves it leaves are swept.  A curve whose every score
 is at most r is within r with no replay, since the scores bound every
 line's count; any other curve is replayed in descending score order until
 a count reaches r + 1 or the scores left cannot, so every count above r
-that it acts on is an exact replay.  Those replays need only counts: they
-decide on the candidate's integer line directly and build no rational
-`Line`, so falsify judges its grid-born curves with no `Fraction` at all.
+that it acts on is an exact replay.  Like every replay, those decide on the
+candidate's integer line and build no `Line`, and falsify asks for no
+report, so it judges its grid-born curves with no `Fraction` at all.
 """
 
 from __future__ import annotations
@@ -166,12 +167,10 @@ class Component:
 @dataclass(frozen=True)
 class MultiplicityReport:
     """An exact component count, the method that found it, and the line and
-    components behind it.  `witness` is None only in the count-only replays
-    of `_exceeds` (`_Sweep.replay` with witness=False): those reports hold
-    the exact count and the method, with no line and no components."""
+    components behind it; built once per answer, from an exact replay."""
 
     count: int
-    witness: Line | None
+    witness: Line
     method: str
     components: tuple[Component, ...] = field(default=())
 
@@ -213,8 +212,8 @@ def _float_point(end: tuple[int, int, int]) -> tuple[float, float]:
         raise PreconditionError("a coordinate lies beyond double range") from None
 
 
-def line_multiplicity(line: Line, poly: Polyline, method: str = METHOD_DIRECT) -> MultiplicityReport:
-    """Exact component count of line ∩ polyline.
+def line_multiplicity(line: Line, poly: Polyline) -> MultiplicityReport:
+    """Exact component count of line ∩ polyline (method "direct").
 
     Every intersection piece (crossing point, vertex touch, collinear
     sub-segment) is located exactly on the line's coordinate chart, in
@@ -222,7 +221,7 @@ def line_multiplicity(line: Line, poly: Polyline, method: str = METHOD_DIRECT) -
     are merged into one component.
     """
     coefs = _integer_line((line.nx, line.ny, line.c), poly.grid[0])
-    return _grid_multiplicity(poly, coefs, line, method)
+    return _grid_multiplicity(poly, coefs, line, METHOD_DIRECT)
 
 
 def _merged_pieces(poly: Polyline, coefs: tuple[int, int, int]) -> tuple[list[list], list[int]]:
@@ -270,12 +269,11 @@ def _merged_pieces(poly: Polyline, coefs: tuple[int, int, int]) -> tuple[list[li
 
 
 def _grid_multiplicity(
-    poly: Polyline, coefs: tuple[int, int, int], witness: Line | None, method: str
+    poly: Polyline, coefs: tuple[int, int, int], witness: Line, method: str
 ) -> MultiplicityReport:
     """`line_multiplicity` of the line a·X + b·Y = c on the polyline's
     integer grid, for coefs (a, b, c), reported with `witness`: the rational
-    line of which the coefs are a positive multiple, or None when only the
-    count and the components are wanted."""
+    line of which the coefs are a positive multiple."""
     merged, values = _merged_pieces(poly, coefs)
     d, xs, ys = poly.grid
 
@@ -300,6 +298,19 @@ def _grid_multiplicity(
     return MultiplicityReport(len(components), witness, method, components)
 
 
+# An exact replay: (count, coefs, unit).  The count is that of the line
+# a·X + b·Y = c on the polyline's integer grid, for coefs (a, b, c); the
+# rational line a/k·x + b/k·y = c/(D·k), for k = unit, is its witness.
+_Replay = tuple[int, tuple[int, int, int], int]
+
+
+def _witness(poly: Polyline, replay: _Replay, method: str) -> MultiplicityReport:
+    """The report of an exact replay: its rational line and components."""
+    _, (a, b, c), unit = replay
+    line = Line(Fraction(a, unit), Fraction(b, unit), Fraction(c, poly.grid[0] * unit))
+    return _grid_multiplicity(poly, (a, b, c), line, method)
+
+
 def _grid_count(poly: Polyline, coefs: tuple[int, int, int]) -> int:
     """The component count of `_grid_multiplicity`, with no end points and
     no `Component`s built."""
@@ -311,19 +322,19 @@ def _gap_count(poly: Polyline, coefs: tuple[int, int, int]) -> int:
     passes through no vertex of the polyline: every piece is then the
     crossing of an edge whose ends lie on opposite sides, and the count is
     the number of distinct crossing places on the line.  Each place
-    (num, den) is keyed by its float num/den.  Int true division rounds
-    correctly, so equal places share a key; places that share one are
-    told apart exactly, reduced to lowest terms."""
+    (num, den) is keyed by its exact floor num // den, so equal places
+    share a key; places that share one are told apart exactly, reduced to
+    lowest terms."""
     _, xs, ys = poly.grid
     a, b, c = coefs
     values = [a * x + b * y - c for x, y in zip(xs, ys)]
-    places: dict[float, list[tuple[int, int]]] = {}
+    places: dict[int, list[tuple[int, int]]] = {}
     for _, i, j in _segment_endpoints(poly):
         vi, vj = values[i], values[j]
         if (vi > 0) != (vj > 0):
             # the crossing (vi·tj - vj·ti) / (vi - vj), t = b·X - a·Y
             num = vi * (b * xs[j] - a * ys[j]) - vj * (b * xs[i] - a * ys[i])
-            places.setdefault(num / (vi - vj), []).append((num, vi - vj))
+            places.setdefault(num // (vi - vj), []).append((num, vi - vj))
     count = len(places)
     for same in places.values():
         if len(same) > 1:
@@ -396,8 +407,8 @@ def _tally(rows: int, width: int, *terms) -> np.ndarray:
     return hist.reshape(rows, width).astype(np.int64)
 
 
-def _accidental(report: MultiplicityReport, poly: Polyline) -> bool:
-    """Whether a component merges crossings of edges on different lines.
+def _accidental(merged: list[list], poly: Polyline) -> bool:
+    """Whether a merged component joins crossings of edges on different lines.
 
     On a line through no vertex that is a coincidence of this line alone
     (it passes through a self-intersection point), which a nearby parallel
@@ -405,10 +416,10 @@ def _accidental(report: MultiplicityReport, poly: Polyline) -> bool:
     """
     _, xs, ys = poly.grid
     n = len(xs)
-    for comp in report.components:
-        i = comp.segments[0]
+    for *_, segments in merged:
+        i = min(segments)
         ex, ey = xs[(i + 1) % n] - xs[i], ys[(i + 1) % n] - ys[i]
-        for seg in comp.segments[1:]:
+        for seg in segments:
             for k in (seg, (seg + 1) % n):
                 if _cross((ex, ey), (xs[k] - xs[i], ys[k] - ys[i])):
                     return True
@@ -609,13 +620,9 @@ class _Sweep:
             hi = min(self.row_start[curve + 1], rows.stop)
             yield curve, slice(lo - rows.start, hi - rows.start)
 
-    def replay(
-        self, rows: slice, scores: np.ndarray, rep: np.ndarray, flat: int, witness: bool = True
-    ) -> MultiplicityReport:
-        """Exact report of a rational witness line of the candidate at index
-        `flat` of a chunk's scores.  With witness=False the report holds the
-        exact count and the method only, with no line (None) and no
-        components, and no Fraction is made."""
+    def replay(self, rows: slice, scores: np.ndarray, rep: np.ndarray, flat: int) -> _Replay:
+        """Exact replay of a witness line of the candidate at index `flat`
+        of a chunk's scores, on its curve's integer grid."""
         row, k, kind = np.unravel_index(flat, scores.shape)
         curve, pivot = int(self.row_curve[rows.start + row]), int(self.row_pivot[rows.start + row])
         score, a, b = int(scores[row, k, kind]), rep[row, k], rep[row, k + 1]
@@ -637,95 +644,79 @@ class _Sweep:
                 wx, wy = ax - abs(ax) - ay, ay
             else:  # the only direction is horizontal; the interval is (0, π)
                 wx, wy = 0, d
-        # n·(V - P) = cross(w, V - P) on the grid: positive on the left
+        # n·(V - P) = cross(w, V - P) on the grid: positive on the left; the
+        # curve's line n/d·(x, y) = c/d² has unit d
         nx, ny = -wy, wx
         c = nx * xs[pivot] + ny * ys[pivot]
-
-        def report(scale: int, offset: int, components: bool = False) -> MultiplicityReport:
-            # the line n·(X, Y) = offset/scale on the grid; the curve's line
-            # is n/d·(x, y) = offset/(d²·scale)
-            coefs = (nx * scale, ny * scale, offset)
-            if witness:
-                line = Line(Fraction(nx, d), Fraction(ny, d), Fraction(offset, d * d * scale))
-                return line_multiplicity(line, poly, METHOD_SWEEP)
-            if components:
-                return _grid_multiplicity(poly, coefs, None, METHOD_SWEEP)
-            return MultiplicityReport(_grid_count(poly, coefs), None, METHOD_SWEEP)
-
         if kind in (_EVENT, _THROUGH):
-            return report(1, c)
+            return _grid_count(poly, (nx, ny, c)), (nx, ny, c), d
         pivots = self.row_pivot[self.row_start[curve] : self.row_start[curve + 1]]
         gap = min(abs(nx * xs[i] + ny * ys[i] - c) for i in pivots.tolist() if i != pivot)
         side = 1 if kind == _LEFT else -1
         for tries in range(1, _GENERIC_TRIES + 1):
-            # c - side·gap/2^tries: the line moved a 2^tries-th of the way to
-            # the nearest other pivot
-            shift = (2**tries, c * 2**tries - side * gap)
-            found = report(*shift)
-            if found.count == score:
-                return found
-            # a short count: re-shift if it comes from a self-intersection,
-            # which the components show
-            if not _accidental(found if witness else report(*shift, components=True), poly):
-                return found
+            # n·(X, Y) = c - side·gap/2^tries, times 2^tries: the line moved
+            # a 2^tries-th of the way to the nearest other pivot
+            scale = 2**tries
+            coefs = (nx * scale, ny * scale, c * scale - side * gap)
+            merged = _merged_pieces(poly, coefs)[0]
+            # a short count: re-shift if it comes from a self-intersection
+            if len(merged) == score or not _accidental(merged, poly):
+                return len(merged), coefs, d * scale
         raise VerificationError("no witness line avoids the curve's self-intersections")
 
 
 def _replay_descending(
     scores: np.ndarray,
-    replay: Callable[[int], MultiplicityReport],
-    best: MultiplicityReport | None,
+    replay: Callable[[int], _Replay],
+    best: _Replay | None,
     enough: float,
-) -> MultiplicityReport:
-    """Best exact replay, `best` included, of candidates taken in descending
-    score order (ascending flat index within a score).  Stops once the best
-    count reaches `enough` or the next score; a score bounds its candidate's
-    exact count, so in the second case no candidate left out can beat it."""
+) -> _Replay:
+    """First replay of the best exact count, `best` first, of candidates in
+    descending score order (ascending flat index within a score).  Stops at
+    a count of `enough` or of the next score, which bounds the exact count
+    of every candidate left out."""
     level = int(scores.max())
-    while best is None or best.count < min(level, enough):
+    while best is None or best[0] < min(level, enough):
         for flat in np.flatnonzero(scores == level):
-            report = replay(int(flat))
-            if best is None or report.count > best.count:
-                best = report
-            if best.count >= min(level, enough):
+            found = replay(int(flat))
+            if best is None or found[0] > best[0]:
+                best = found
+            if best[0] >= min(level, enough):
                 break
         level -= 1
     return best
 
 
-def _sweep_best(
-    polys: Sequence[Polyline], enough: float, floor: int = 0, witness: bool = True
-) -> list[MultiplicityReport | None]:
+def _sweep_best(polys: Sequence[Polyline], enough: float, floor: int = 0) -> list[_Replay | None]:
     """Per polyline, the best exact replay of one rotational sweep of the
     batch, chunk by chunk, cut short once a count reaches `enough`.  A
     polyline whose scores all stay at or below `floor` is not replayed
-    (None): its scores already bound every line's count by `floor`.  With
-    witness=False the reports hold the exact count and the method only: no
-    line and no components (see `_Sweep.replay`).  A polyline of more than
-    _VERTEX_BUDGET vertices is refused with PreconditionError."""
+    (None): its scores already bound every line's count by `floor`.  A
+    polyline of more than _VERTEX_BUDGET vertices is refused with
+    PreconditionError; a report is built (`_witness`) only for an answer."""
     if any(len(poly) > _VERTEX_BUDGET for poly in polys):
         raise PreconditionError(
             f"polylines of more than {_VERTEX_BUDGET} vertices are refused: "
             "the exact sweep is O(n^2 log n)"
         )
     sweep = _Sweep(polys)
-    best: list[MultiplicityReport | None] = [None] * len(polys)
+    best: list[_Replay | None] = [None] * len(polys)
     for rows, scores, rep in sweep.scored_chunks():
         parts = list(sweep.curves(rows))
         row_tops = scores.reshape(len(scores), -1).max(axis=1)
         tops = np.maximum.reduceat(row_tops, [part.start for _, part in parts]).tolist()
         for (curve, part), top in zip(parts, tops):
             found = best[curve]
-            if (found is not None and found.count >= enough) or top <= floor:
+            if (found is not None and found[0] >= enough) or top <= floor:
                 continue
             offset = part.start * scores[0].size
             best[curve] = _replay_descending(
                 scores[part],
-                lambda flat: sweep.replay(rows, scores, rep, offset + flat, witness),
+                lambda flat: sweep.replay(rows, scores, rep, offset + flat),
                 found,
                 enough,
             )
-        if all(found is not None and found.count >= enough for found in best):
+        if all(found is not None and found[0] >= enough for found in best):
             break
     return best
 
@@ -816,15 +807,17 @@ def _witness_screen(polys: Sequence[Polyline], r: int) -> list[bool]:
     marked = [False] * len(polys)
     fits, counts, sums = _witness_gaps(polys)
     rows = np.flatnonzero(counts.max(axis=1, initial=0) > r)
+    # normals whose table count is at most r are never replayed
+    screened = np.where(counts > r, counts, 0)
     for row in rows.tolist():
         poly = polys[fits[row]]
-        for k in np.argsort(-counts[row], kind="stable").tolist():
-            if counts[row, k] <= r:
-                break
+
+        def replay(k: int) -> _Replay:
             a, b = _WITNESS_NORMALS[k]
-            if _gap_count(poly, (2 * a, 2 * b, int(sums[row, k]))) > r:
-                marked[fits[row]] = True
-                break
+            coefs = (2 * a, 2 * b, int(sums[row, k]))
+            return _gap_count(poly, coefs), coefs, 1
+
+        marked[fits[row]] = _replay_descending(screened[row], replay, None, r + 1)[0] > r
     return marked
 
 
@@ -840,10 +833,8 @@ def _exceeds(polys: Sequence[Polyline], r: int) -> list[bool]:
     distinct crossing places (`_gap_count`), since it meets no vertex.  The
     screen cannot prove a polyline within r, so the ones it leaves are
     swept.  A polyline whose scores all stay at or below r needs no replay;
-    otherwise it exceeds r exactly when an exact replay reaches r + 1.  The
-    sweep's replays are count-only (witness=False in `_sweep_best`): each
-    builds the merged pieces of its line and takes their number, with no
-    line, end points or components."""
+    otherwise it exceeds r exactly when an exact replay reaches r + 1.  Only
+    the replays' counts are read: no report, line or component is built."""
     over = [False] * len(polys)
     long = [i for i, poly in enumerate(polys) if _segment_count(poly) > r]
     for part in _batches([polys[i] for i in long]):
@@ -852,9 +843,8 @@ def _exceeds(polys: Sequence[Polyline], r: int) -> list[bool]:
             over[i] = done
         rest = [i for i in batch if not over[i]]
         if rest:
-            reports = _sweep_best([polys[i] for i in rest], r + 1, r, witness=False)
-            for i, report in zip(rest, reports):
-                over[i] = report is not None and report.count > r
+            for i, found in zip(rest, _sweep_best([polys[i] for i in rest], r + 1, r)):
+                over[i] = found is not None and found[0] > r
     return over
 
 
@@ -863,7 +853,7 @@ def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
 
     Coordinates must lie within ±2^500.
     """
-    return _sweep_best([poly], math.inf)[0]
+    return _witness(poly, _sweep_best([poly], math.inf)[0], METHOD_SWEEP)
 
 
 # ---------------------------------------------------------------------------
@@ -936,16 +926,12 @@ def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityRe
         raise PreconditionError("seed must be non-negative")
     _float_points(poly)  # refuses coordinates beyond ±2^500
     lines, counts = _oracle_lines(poly, trials, seed)
-    first: dict[int, int] = {}  # the first line replayed to each count
 
-    def replay(i: int) -> MultiplicityReport:
-        count = _gap_count(poly, lines[i].tolist())
-        first.setdefault(count, i)
-        return MultiplicityReport(count, None, METHOD_ORACLE)
+    def replay(i: int) -> _Replay:
+        coefs = tuple(lines[i].tolist())
+        return _gap_count(poly, coefs), coefs, 1
 
-    best = _replay_descending(counts, replay, None, math.inf)
-    a, b, c = lines[first[best.count]].tolist()
-    return _grid_multiplicity(poly, (a, b, c), Line(a, b, Fraction(c, poly.grid[0])), METHOD_ORACLE)
+    return _witness(poly, _replay_descending(counts, replay, None, math.inf), METHOD_ORACLE)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,8 +1010,9 @@ def find_stabbing_line(
             f"bound not exceeded: length {polyline_length(poly):.9g} <= s = {threshold:.9g}"
         )
     _require_inside(poly, body)
-    report = _sweep_best([poly], r + 1)[0]
-    if report.count >= r + 1:
+    found = _sweep_best([poly], r + 1)[0]
+    if found[0] >= r + 1:
+        report = _witness(poly, found, METHOD_SWEEP)
         return report.witness, report
     raise VerificationError(
         f"no line with multiplicity {r + 1} found despite length above the bound"

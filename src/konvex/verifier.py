@@ -36,6 +36,7 @@ from .stabbing import (
     _SWEEP_ENTRIES,
     _VERTEX_BUDGET,
     _exceeds,
+    _sweep_best,
     find_stabbing_line,
     max_line_multiplicity,
 )
@@ -115,7 +116,7 @@ def falsify(body: ConvexPolygon, r: int, trials: int, seed: int = 0) -> BoundRep
             ratio = polyline_length(curve) / threshold
             max_ratio = max(max_ratio, ratio)
             if ratio > 1.0:
-                count = max_line_multiplicity(curve).count
+                count = _sweep_best([curve], math.inf)[0][0]
                 violations.append(
                     {"trial": t, "generator": kind, "ratio": ratio, "count": count}
                 )

@@ -1,6 +1,7 @@
 """Exact `Fraction` references that only the tests use: the cross product,
 a line's value and side at a point, a line from a direction and an offset,
-exact rational rigid motions, and the quadratic diameter scan.
+exact rational rigid motions, the quadratic diameter scan and the sweep's
+re-shift test.
 
 They compute on the points' `Fraction` coordinates directly, so they stay
 independent of the integer views that the library decides on.
@@ -84,3 +85,17 @@ def diameter_bruteforce(polygon: ConvexPolygon) -> tuple[float, Point, Point]:
     return (
         _root(best_d2.numerator, best_d2.denominator, ring[i], ring[j]), ring[i], ring[j]
     )
+
+
+def fraction_accidental(report, poly) -> bool:
+    """Whether a component of the report merges crossings of edges on
+    different lines, by `Fraction` cross products of the vertices."""
+    verts = poly.vertices
+    n = len(verts)
+    for comp in report.components:
+        first = comp.segments[0]
+        a, b = verts[first], verts[(first + 1) % n]
+        for seg in comp.segments[1:]:
+            if cross(a, b, verts[seg]) or cross(a, b, verts[(seg + 1) % n]):
+                return True
+    return False

@@ -1,7 +1,8 @@
 """Polylines born on the integer grid: `Polyline.from_grid` against the
 polyline built from `Fraction` points, containment on the curve's grid, and
 a guard that falsify's trial curves, their judge and their lengths make no
-`Fraction` and no `Point`."""
+`Fraction` and no `Point`, and every sweep replay against the line that its
+report is built on."""
 
 import math
 from dataclasses import FrozenInstanceError
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from konvex import stabbing, verifier
-from konvex.stabbing import _accidental
+from konvex.stabbing import _accidental, line_multiplicity
 from konvex.errors import PreconditionError
 from konvex.formats import serialize_polyline
 from konvex.geometry import (
@@ -27,6 +28,8 @@ from konvex.geometry import (
     polyline_length,
 )
 from konvex.random_shapes import GRID, random_star_ring, random_walk_polyline
+
+from fraction_oracle import fraction_accidental
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 HEXAGON = ConvexPolygon(
@@ -213,15 +216,15 @@ def test_trial_curves_build_no_fraction_and_no_point(monkeypatch):
     assert any(over) and not all(over)
 
 
-def test_count_only_replays_match_the_witnessed_ones(monkeypatch):
-    # every candidate of a batch: the count does not depend on the positive
-    # multiple of the line that replays it, and a count-only replay builds
-    # no components.  Walks on a 4 x 4 lattice cross at shared points, so
-    # some open cells are re-shifted.
+def test_every_replay_counts_its_witness_line(monkeypatch):
+    # every candidate of a batch: the replay's count is the exact count of
+    # the line its report is built on, and the re-shift test on the line's
+    # merged pieces agrees with the Fraction reference.  Walks on a 4 x 4
+    # lattice cross at shared points, so some open cells are re-shifted.
     reshifts = []
 
-    def accidental(report, poly):
-        reshifts.append(_accidental(report, poly))
+    def accidental(merged, poly):
+        reshifts.append(_accidental(merged, poly))
         return reshifts[-1]
 
     monkeypatch.setattr(stabbing, "_accidental", accidental)
@@ -236,10 +239,11 @@ def test_count_only_replays_match_the_witnessed_ones(monkeypatch):
     replays = 0
     for rows, scores, rep in sweep.scored_chunks():
         for flat in np.flatnonzero(scores >= 0).tolist():
-            full = sweep.replay(rows, scores, rep, flat)
-            bare = sweep.replay(rows, scores, rep, flat, witness=False)
-            assert bare.witness is None
-            assert (bare.count, bare.method) == (full.count, full.method)
-            assert bare.components == ()
+            poly = curves[sweep.row_curve[rows.start + np.unravel_index(flat, scores.shape)[0]]]
+            count, coefs, unit = sweep.replay(rows, scores, rep, flat)
+            report = stabbing._witness(poly, (count, coefs, unit), stabbing.METHOD_SWEEP)
+            assert count == report.count == line_multiplicity(report.witness, poly).count
+            merged = stabbing._merged_pieces(poly, coefs)[0]
+            assert _accidental(merged, poly) == fraction_accidental(report, poly)
             replays += 1
     assert replays > 1000 and any(reshifts)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from konvex import geometry, stabbing
 from konvex.errors import PreconditionError, VerificationError
-from konvex.geometry import ConvexPolygon, Line, Point, Polyline, orientation
+from konvex.geometry import ConvexPolygon, Line, Point, Polyline
 from konvex.random_shapes import random_star_ring, random_walk_polyline
 from konvex.stabbing import (
     Component,
@@ -21,7 +21,7 @@ from konvex.stabbing import (
     proper_crossings,
 )
 
-from fraction_oracle import side_of, value_at
+from fraction_oracle import fraction_accidental, side_of, value_at
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 
@@ -85,18 +85,6 @@ def fraction_proper_crossings(line: Line, poly: Polyline) -> int:
         raise PreconditionError("line passes through a polyline vertex")
     flips = sum(1 for a, b in zip(sides, sides[1:]) if a != b)
     return flips + (poly.closed and sides[-1] != sides[0])
-
-
-def fraction_accidental(report: MultiplicityReport, poly: Polyline) -> bool:
-    verts = poly.vertices
-    n = len(verts)
-    for comp in report.components:
-        first = comp.segments[0]
-        a, b = verts[first], verts[(first + 1) % n]
-        for seg in comp.segments[1:]:
-            if orientation(a, b, verts[seg]) or orientation(a, b, verts[(seg + 1) % n]):
-                return True
-    return False
 
 
 def fraction_direction(p: Point, q: Point) -> tuple[Fraction, Fraction]:
@@ -230,7 +218,10 @@ def assert_every_sweep_witness(polys: list[Polyline]) -> None:
     sweep = stabbing._Sweep(polys)
     for rows, scores, rep in sweep.scored_chunks():
         for flat in np.flatnonzero(scores >= 0).tolist():
-            new = sweep.replay(rows, scores, rep, flat)
+            curve = sweep.row_curve[rows.start + np.unravel_index(flat, scores.shape)[0]]
+            found = sweep.replay(rows, scores, rep, flat)
+            new = stabbing._witness(polys[curve], found, stabbing.METHOD_SWEEP)
+            assert new.count == found[0]
             assert same_report(new, fraction_replay(sweep, rows, scores, rep, flat, []))
 
 
@@ -261,8 +252,11 @@ class TestAgainstFractionReference:
     @given(st.data())
     def test_accidental(self, data):
         poly = data.draw(curves())
-        report = line_multiplicity(data.draw(lines_for(poly)), poly)
-        assert stabbing._accidental(report, poly) == fraction_accidental(report, poly)
+        line = data.draw(lines_for(poly))
+        coefs = stabbing._integer_line((line.nx, line.ny, line.c), poly.grid[0])
+        merged = stabbing._merged_pieces(poly, coefs)[0]
+        report = line_multiplicity(line, poly)
+        assert stabbing._accidental(merged, poly) == fraction_accidental(report, poly)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(curves(8, _SWEEP_SCALES), min_size=1, max_size=3))

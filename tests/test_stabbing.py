@@ -90,15 +90,16 @@ def witness_margins(poly, r, body, alphas):
 
 @pytest.fixture
 def replays(monkeypatch):
-    """Methods of every exact replay made through stabbing.line_multiplicity."""
+    """Counts of every exact replay of a sweep candidate (`_Sweep.replay`)."""
     calls = []
-    exact = stabbing.line_multiplicity
+    exact = stabbing._Sweep.replay
 
-    def counting(line, poly, method=stabbing.METHOD_DIRECT):
-        calls.append(method)
-        return exact(line, poly, method)
+    def counting(self, rows, scores, rep, flat):
+        found = exact(self, rows, scores, rep, flat)
+        calls.append(found[0])
+        return found
 
-    monkeypatch.setattr(stabbing, "line_multiplicity", counting)
+    monkeypatch.setattr(stabbing._Sweep, "replay", counting)
     return calls
 
 

@@ -178,7 +178,9 @@ class TestScores:
             sweep = stabbing._Sweep([poly])
             for rows, scores, rep in sweep.scored_chunks():
                 for flat in np.flatnonzero(scores >= 0):
-                    report = sweep.replay(rows, scores, rep, int(flat))
+                    found = sweep.replay(rows, scores, rep, int(flat))
+                    report = stabbing._witness(poly, found, stabbing.METHOD_SWEEP)
+                    assert report.count == found[0]
                     signs = np.array([[side_of(report.witness, v) for v in poly.vertices]], np.int8)
                     assert count_from_signs(signs, poly.closed)[0] == scores.flat[flat]
                     assert report.count <= scores.flat[flat]
@@ -226,6 +228,12 @@ def batch_curves(draw, size: int = 40) -> Polyline:
     return Polyline(tuple(Point(x * scale, y * scale) for x, y in verts), closed)
 
 
+def batch_reports(polys: list[Polyline]) -> list:
+    """The report of each polyline's best replay in one batched sweep."""
+    best = stabbing._sweep_best(polys, float("inf"))
+    return [stabbing._witness(p, found, stabbing.METHOD_SWEEP) for p, found in zip(polys, best)]
+
+
 class TestBatch:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(batch_curves(), min_size=1, max_size=6))
@@ -245,7 +253,7 @@ class TestBatch:
     @given(st.lists(batch_curves(12), min_size=1, max_size=5))
     def test_batch_replays_and_decisions(self, polys):
         alone = [max_line_multiplicity(poly) for poly in polys]
-        best = stabbing._sweep_best(polys, float("inf"))
+        best = batch_reports(polys)
         assert [(b.count, b.witness) for b in best] == [(a.count, a.witness) for a in alone]
         for r in range(2, 6):
             assert stabbing._exceeds(polys, r) == [a.count > r for a in alone]
@@ -263,7 +271,7 @@ class TestBatch:
         chunked = per_curve(stabbing._Sweep(polys))
         for (s, rep), (s2, rep2) in zip(whole, chunked):
             assert np.array_equal(s, s2) and np.array_equal(rep, rep2)
-        best = stabbing._sweep_best(polys, float("inf"))
+        best = batch_reports(polys)
         assert [(b.count, b.witness) for b in best] == [(a.count, a.witness) for a in alone]
         for r in (2, 3, 4):
             assert stabbing._exceeds(polys, r) == [a.count > r for a in alone]

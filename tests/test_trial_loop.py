@@ -4,6 +4,8 @@ against the forms they replaced, count-only replays against
 `line_multiplicity`, the gap-line count against `_grid_count`, and the
 segment bound and witness screen that decide curves without a sweep."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from konvex.stabbing import (
     _integer_line,
     line_multiplicity,
     max_line_multiplicity,
+    random_line_oracle,
 )
 from konvex.verifier import falsify
 
@@ -301,6 +304,18 @@ class TestGapCount:
         poly = Polyline.from_grid(1, [0, 2, 0], [y, y, y + 1])
         assert -2 * y / 1 == (-4 * y - 3) / 2
         assert _gap_count(poly, (2, 0, 1)) == _grid_count(poly, (2, 0, 1)) == 2
+
+    def test_places_beyond_float_range(self):
+        # grid ints near 2^1100 (denominator 2^600): the oracle's crossing
+        # places lie beyond double range, so they are keyed by exact floors
+        poly = Polyline((
+            Point(0, 0), Point(Fraction(1, 2**600), 2**499), Point(2**499, 0),
+            Point(1, Fraction(3, 2**600) + 2**498), Point(2**499, 2**499),
+        ))
+        assert random_line_oracle(poly, 100, 1).count == 4 == max_line_multiplicity(poly).count
+        lines, _ = stabbing._oracle_lines(poly, 100, 1)
+        for coefs in lines.tolist():
+            assert _gap_count(poly, coefs) == _grid_count(poly, coefs)
 
     def test_the_witness_screen_merges_no_pieces(self, monkeypatch):
         curves = [curve for block in verifier._trial_blocks(SQUARE, 3, 40, 508) for _, _, curve in block]
