@@ -16,6 +16,14 @@ None of this is trusted: every result is re-verified by the exact
 maximum over all lines (`max_line_multiplicity`, a rotational sweep)
 before being returned, and construction parameters are re-tuned and
 re-jittered on failure up to max_retries.
+
+Samples, rings, runs, junctions and the odd tail are int pairs on the 1e-9
+snap grid, X = round(x·GRID), the value `random_shapes.snap` makes.  Every
+decision (the hull, the junction lookup, the farthest vertex, the bowed
+arc's side and checks, the curve's containment in the body) is a sign or a
+comparison of ints, and the curve is built as `Polyline.from_grid`.  Lengths
+and directions read the float views X/GRID, the bits of `Point.xy` of the
+snapped points.
 """
 
 from __future__ import annotations
@@ -29,29 +37,47 @@ import numpy as np
 from .errors import ConstructionError, DegeneracyError, PreconditionError
 from .geometry import (
     COLLINEAR,
-    EXTERIOR,
     INTERIOR,
     RIGHT,
     ConvexPolygon,
-    Point,
     Polyline,
-    _grid_of,
+    _centroid,
+    _classify,
+    _float_length,
+    _hull_indices,
+    _inside,
     _turn,
-    contains,
-    convex_hull,
     diameter,
-    dist_sq,
-    orientation,
     perimeter,
     polyline_length,
     s_bound,
 )
-from .random_shapes import GRID, snap_point
+from .random_shapes import GRID
 from .stabbing import MultiplicityReport, max_line_multiplicity
 
 _MIN_SAMPLES = 8
 _INSET_FLOOR = 1e-7
 _GAP = 0.01  # arc fraction removed from each loop at the common sector
+
+GridPoint = tuple[int, int]  # (X, Y) = (round(x·GRID), round(y·GRID))
+
+
+def _snap(x: float, y: float) -> GridPoint:
+    """The point (x, y) rounded to the 1e-9 grid, as `random_shapes.snap`."""
+    return round(x * GRID), round(y * GRID)
+
+
+def _floats(points: Sequence[GridPoint]) -> list[tuple[float, float]]:
+    """Float views (X/GRID, Y/GRID): int true division rounds correctly, so
+    these are the bits of `Point.xy` of the snapped points."""
+    return [(x / GRID, y / GRID) for x, y in points]
+
+
+def _grid_hull(points: Sequence[GridPoint]) -> list[GridPoint]:
+    """Counterclockwise convex hull of grid points (`_hull_indices`), with the
+    ring order and the DegeneracyErrors of `convex_hull`."""
+    xs, ys = zip(*points)
+    return [points[i] for i in _hull_indices(xs, ys)]
 
 
 @dataclass(frozen=True)
@@ -137,11 +163,11 @@ def _sample_offset(
         math.dist(verts[order[k]], verts[order[(k + 1) % n]]) for k in range(n)
     ]
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    total = cum[-1]
+    positions = np.arange(m) * (cum[-1] / m)
+    edges = np.minimum(np.searchsorted(cum, positions, side="right") - 1, n - 1)
     samples = []
-    for pos in np.arange(m) * (total / m):
-        k = min(int(np.searchsorted(cum, pos, side="right")) - 1, n - 1)
-        t = (pos - cum[k]) / lengths[k]
+    for pos, k, start in zip(positions.tolist(), edges.tolist(), cum[edges].tolist()):
+        t = (pos - start) / lengths[k]
         (ax, ay) = verts[order[k]]
         (bx, by) = verts[order[(k + 1) % n]]
         samples.append(((ax + t * (bx - ax), ay + t * (by - ay)), order[k], t))
@@ -164,11 +190,11 @@ def _inset_ring(
     depth: float,
     m: int,
     rng: np.random.Generator,
-    through: Point | None = None,
+    through: GridPoint | None = None,
     anchor_vertex: int = 0,
     nesting_step: float | None = None,
     attempts: int = 8,
-) -> ConvexPolygon:
+) -> list[GridPoint]:
     """Strictly convex ring of m samples hugging the inner offset at `depth`.
 
     Samples sit on the inward parallel polygon and dip further inward by a
@@ -177,7 +203,7 @@ def _inset_ring(
     would leave collinear samples.  A tiny per-vertex jitter bounded by the
     local convexity margin keeps vertex triples generic.  `through` adds one
     prescribed outer vertex (a junction); the strict hull then drops the few
-    samples it shadows.
+    samples it shadows.  Returns the ring's grid points, counterclockwise.
     """
     if depth <= 0:
         raise PreconditionError("inset depth must be positive")
@@ -206,27 +232,32 @@ def _inset_ring(
         # a single global cap keeps the profile analysis uniform
         amp_cap = min(amp_cap, max(amp_cap_edge, depth / 64.0))
 
+    sines = [math.sin(math.pi * t) for _, _, t in samples]
+    spacing = (math.pi / max(m, 1)) ** 2
     for _ in range(attempts):
-        amps = rng.uniform(0.35, 1.0, n_edges) * amp_cap
-        pts: list[Point] = []
-        for (x, y), edge, t in samples:
-            # outward sine bump: vanishes at the edge ends, so the profile
-            # height depth - bump is convex along each edge and continuous
-            # across corners; the corner turn supplies the rest.
-            bump = amps[edge] * math.sin(math.pi * t)
-            margin = 0.125 * amps[edge] * math.sin(math.pi * t) * (math.pi / max(m, 1)) ** 2
-            bump += rng.uniform(0.0, margin) if margin > 0 else 0.0
+        amps = (rng.uniform(0.35, 1.0, n_edges) * amp_cap).tolist()
+        # outward sine bump: vanishes at the edge ends, so the profile
+        # height depth - bump is convex along each edge and continuous
+        # across corners; the corner turn supplies the rest.
+        margins = [0.125 * amps[edge] * sine * spacing for (_, edge, _), sine in zip(samples, sines)]
+        # one jitter draw per positive margin, in sample order: the numbers
+        # of one scalar draw per such sample
+        jitter = iter(rng.uniform(0.0, [v for v in margins if v > 0]).tolist())
+        pts: list[GridPoint] = []
+        for ((x, y), edge, _), sine, margin in zip(samples, sines, margins):
+            bump = amps[edge] * sine
+            bump += next(jitter) if margin > 0 else 0.0
             nx, ny = normals[edge]
-            pts.append(snap_point(x - bump * nx, y - bump * ny))
+            pts.append(_snap(x - bump * nx, y - bump * ny))
         if through is not None:
             pts.append(through)
         try:
-            ring = convex_hull(pts)
+            ring = _grid_hull(pts)
         except DegeneracyError:
             continue
         if len(ring) < _ring_floor(m):
             continue
-        if through is not None and through not in ring.ring:
+        if through is not None and through not in ring:
             continue
         return ring
     raise DegeneracyError("could not build a strictly convex inset ring")
@@ -238,32 +269,31 @@ def _ring_floor(m: int) -> int:
 
 
 def _arc_walk(
-    ring: ConvexPolygon, start_idx: int, arc_budget: float, direction: int = 1
+    verts: list[tuple[float, float]], start_idx: int, arc_budget: float, direction: int = 1
 ) -> list[int]:
-    """Vertex indices from start_idx along the ring (direction +1 ccw, -1 cw)
-    until the arc budget runs out."""
-    verts = ring.ring
+    """Vertex indices from start_idx along the ring of float views `verts`
+    (direction +1 ccw, -1 cw) until the arc budget runs out."""
     n = len(verts)
     out = [start_idx]
     walked = 0.0
     for step in range(1, n):
         a = verts[(start_idx + direction * (step - 1)) % n]
         b_idx = (start_idx + direction * step) % n
-        walked += math.dist(a.xy, verts[b_idx].xy)
+        walked += math.dist(a, verts[b_idx])
         if walked > arc_budget:
             break
         out.append(b_idx)
     return out
 
 
-def _anchor_index(ring: ConvexPolygon, direction: tuple[float, float]) -> int:
-    """Ring vertex whose direction from the centroid best matches `direction`."""
-    cx, cy = ring.centroid()
+def _anchor_index(verts: list[tuple[float, float]], direction: tuple[float, float]) -> int:
+    """Vertex of the ring of float views `verts` whose direction from the
+    centroid best matches `direction`."""
+    cx, cy = _centroid(verts)
     best, best_dot = 0, -math.inf
     norm = math.hypot(*direction)
     ux, uy = direction[0] / norm, direction[1] / norm
-    for idx, v in enumerate(ring.ring):
-        x, y = v.xy
+    for idx, (x, y) in enumerate(verts):
         r = math.hypot(x - cx, y - cy)
         if r == 0:
             continue
@@ -274,19 +304,19 @@ def _anchor_index(ring: ConvexPolygon, direction: tuple[float, float]) -> int:
 
 
 def _bowed_arc(
-    a: Point,
-    b: Point,
-    toward: Point,
+    a: GridPoint,
+    b: GridPoint,
+    toward: GridPoint,
     bow: float,
     m: int,
-) -> list[Point]:
+) -> list[GridPoint]:
     """Strictly convex arc from a to b, bulging toward `toward` by a sine
     bump of height bow; includes both endpoints."""
-    (ax, ay), (bx, by) = a.xy, b.xy
+    (ax, ay), (bx, by) = _floats((a, b))
     chord = math.dist((ax, ay), (bx, by))
     if chord == 0:
         raise PreconditionError("arc endpoints coincide")
-    side = orientation(a, b, toward)
+    side = _turn(*zip(a, b, toward), 0, 1, 2)
     nx, ny = -(by - ay) / chord, (bx - ax) / chord
     if side == RIGHT:
         nx, ny = -nx, -ny
@@ -294,9 +324,7 @@ def _bowed_arc(
     for i in range(1, m):
         t = i / m
         h = bow * math.sin(math.pi * t)
-        pts.append(
-            snap_point(ax + t * (bx - ax) + h * nx, ay + t * (by - ay) + h * ny)
-        )
+        pts.append(_snap(ax + t * (bx - ax) + h * nx, ay + t * (by - ay) + h * ny))
     pts.append(b)
     return pts
 
@@ -320,7 +348,7 @@ def _chain_loops(
     n_loops: int,
     anchor_idx: int,
     anchor_dir: tuple[float, float],
-) -> tuple[list[ConvexPolygon], list[list[Point]], list[int]]:
+) -> tuple[list[list[GridPoint]], list[list[GridPoint]], list[int]]:
     """Nested rings plus their opened traversals, chained through junctions.
 
     Ring j sits at depth j * inset inside the body; run j starts at the
@@ -328,10 +356,10 @@ def _chain_loops(
     sits just before its start, in the sector of the anchor corner (where
     the body's own turning keeps junction hull shadows short).
     """
-    rings: list[ConvexPolygon] = []
-    opens: list[list[Point]] = []
+    rings: list[list[GridPoint]] = []
+    opens: list[list[GridPoint]] = []
     starts: list[int] = []
-    junction: Point | None = None
+    junction: GridPoint | None = None
     for j in range(1, n_loops + 1):
         ring = _inset_ring(
             body,
@@ -342,10 +370,10 @@ def _chain_loops(
             anchor_vertex=anchor_idx,
             nesting_step=inset,
         )
-        verts = ring.ring
-        n = len(verts)
-        p_ring = perimeter(ring)
-        corner_idx = _anchor_index(ring, anchor_dir)
+        n = len(ring)
+        verts = _floats(ring)
+        p_ring = _float_length(verts, closed=True)
+        corner_idx = _anchor_index(verts, anchor_dir)
         if junction is None:
             # start at the anchor corner; the run then stops one gap arc
             # short of it, safely off the corner diagonal, so the next
@@ -353,14 +381,14 @@ def _chain_loops(
             start_idx = corner_idx
             direction = 1
         else:
-            start_idx = verts.index(junction)
+            start_idx = ring.index(junction)
             # go along the longer adjacent hull edge first: the short one is
             # the corner-side tangent of the junction, which the skipped arc
             # should cover
-            e_ccw = math.dist(verts[start_idx].xy, verts[(start_idx + 1) % n].xy)
-            e_cw = math.dist(verts[start_idx].xy, verts[(start_idx - 1) % n].xy)
+            e_ccw = math.dist(verts[start_idx], verts[(start_idx + 1) % n])
+            e_cw = math.dist(verts[start_idx], verts[(start_idx - 1) % n])
             direction = 1 if e_ccw >= e_cw else -1
-        run = _arc_walk(ring, start_idx, (1.0 - gap) * p_ring, direction)
+        run = _arc_walk(verts, start_idx, (1.0 - gap) * p_ring, direction)
         # a stop on or next to the corner apex would leave the next junction
         # with two long tangents; back off until clearly off the diagonal
         while len(run) > 3:
@@ -372,13 +400,13 @@ def _chain_loops(
         if len(run) < 3:
             raise DegeneracyError("opened loop too short")
         rings.append(ring)
-        opens.append([verts[k] for k in run])
+        opens.append([ring[k] for k in run])
         starts.append(start_idx)
         junction = opens[-1][-1]
     return rings, opens, starts
 
 
-def _assemble(opens: list[list[Point]]) -> list[Point]:
+def _assemble(opens: list[list[GridPoint]]) -> list[GridPoint]:
     verts = list(opens[0])
     for run in opens[1:]:
         assert run[0] == verts[-1]
@@ -399,24 +427,23 @@ def _gap_anchor(body: ConvexPolygon) -> tuple[int, tuple[float, float]]:
     return idx, direction
 
 
-def _farthest_vertex(ring: ConvexPolygon, origin: Point) -> Point:
-    best = ring.ring[0]
-    best_d = dist_sq(origin, best)
-    for v in ring.ring[1:]:
-        d = dist_sq(origin, v)
-        if d > best_d:
-            best, best_d = v, d
-    return best
+def _farthest_vertex(ring: list[GridPoint], origin: GridPoint) -> GridPoint:
+    """The first ring vertex at the largest squared grid distance from origin."""
+    ox, oy = origin
+    return max(ring, key=lambda v: (v[0] - ox) ** 2 + (v[1] - oy) ** 2)
 
 
-def _check_arc(inner: ConvexPolygon, arc: list[Point], triangle_apex: Point) -> None:
+def _check_arc(inner: list[GridPoint], arc: list[GridPoint], triangle_apex: GridPoint) -> None:
     """Interior arc vertices must sit strictly inside the inner ring and
     strictly inside the triangle (apex, far end, stop); no 3 collinear.
-    Decided on the integer view of the arc and its apex."""
-    _, xs, ys = _grid_of(arc + [triangle_apex])
+    Decided on the grid ints of the ring, the arc and its apex."""
+    xs, ys = (list(c) for c in zip(*arc, triangle_apex))
+    # the ring, with one free slot at the end for the vertex to classify
+    ring_x, ring_y = (list(c) + [0] for c in zip(*inner))
     a, b, t = 0, len(arc) - 1, len(arc)
     for p in range(1, b):
-        if contains(inner, arc[p]) != INTERIOR:
+        ring_x[-1], ring_y[-1] = arc[p]
+        if _classify(ring_x, ring_y) != INTERIOR:
             raise DegeneracyError("arc leaves the inner ring")
         if not (
             _turn(xs, ys, a, b, p) == _turn(xs, ys, a, b, t)
@@ -428,13 +455,15 @@ def _check_arc(inner: ConvexPolygon, arc: list[Point], triangle_apex: Point) -> 
         raise DegeneracyError("arc has collinear vertices")
 
 
-def _odd_tail(inner: ConvexPolygon, stop: Point, start_idx: int, m: int) -> list[Point]:
+def _odd_tail(
+    inner: list[GridPoint], stop: GridPoint, start_idx: int, m: int
+) -> list[GridPoint]:
     """Bowed arc from the innermost loop's stop to the inner ring vertex
     farthest from it, bulging toward the loop's start vertex; the stop
     itself, which ends the loops, is left out."""
     far = _farthest_vertex(inner, stop)
-    start_vertex = inner.ring[start_idx]
-    bow = max(math.dist(stop.xy, start_vertex.xy) / 12.0, 1e-6)
+    start_vertex = inner[start_idx]
+    bow = max(math.dist(*_floats((stop, start_vertex))) / 12.0, 1e-6)
     arc = _bowed_arc(stop, far, start_vertex, bow, max(16, m // 8))
     _check_arc(inner, arc, start_vertex)
     return arc[1:]
@@ -477,11 +506,11 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
                 if inset < _INSET_FLOOR:
                     break
                 continue
-            curve = Polyline(tuple(_assemble(opens) + tail))
+            curve = Polyline.from_grid(GRID, *zip(*(_assemble(opens) + tail)))
             length = polyline_length(curve)
             longest = max(longest, length)
             if length >= target - 0.9 * params.eps:
-                if all(contains(body, v) != EXTERIOR for v in curve.vertices):
+                if _inside(curve, body):
                     report = max_line_multiplicity(curve)
                     if report.count <= params.r:
                         return ConstructionResult(curve, length, report, target, retry, params)

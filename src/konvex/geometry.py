@@ -134,13 +134,6 @@ def _turn(xs: Sequence[int], ys: Sequence[int], i: int, j: int, k: int) -> int:
     return (c > 0) - (c < 0)
 
 
-def dist_sq(a: Point, b: Point) -> Fraction:
-    """Exact squared distance."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
-
-
 def _require_distinct(verts: Sequence, closed: bool) -> None:
     """Refuse fewer than 2 vertices, a vertex equal to the next, and a
     closed ring that stores its first vertex again; vertices are Points or
@@ -275,8 +268,13 @@ def _stored_grid(owner, vertices: Sequence[Point]) -> Grid:
 def polyline_length(poly: Polyline) -> float:
     """Total Euclidean length; closed polylines include the closing segment,
     summed last."""
-    pts = poly.float_vertices()
-    ends = pts[1:] + pts[:1] if poly.closed else pts[1:]
+    return _float_length(poly.float_vertices(), poly.closed)
+
+
+def _float_length(pts: Sequence[tuple[float, float]], closed: bool) -> float:
+    """`polyline_length` of float points: a closed ring's closing segment is
+    summed last."""
+    ends = pts[1:] + pts[:1] if closed else pts[1:]
     return sum(map(math.dist, pts, ends))
 
 
@@ -321,18 +319,7 @@ class ConvexPolygon:
 
     def centroid(self) -> tuple[float, float]:
         """Area centroid, in doubles (used for inward directions, not predicates)."""
-        ax = ay = area = 0.0
-        x0, y0 = self.ring[0].xy
-        for i in range(1, len(self.ring) - 1):
-            x1, y1 = self.ring[i].xy
-            x2, y2 = self.ring[i + 1].xy
-            t = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-            area += t
-            ax += t * (x0 + x1 + x2)
-            ay += t * (y0 + y1 + y2)
-        if not (0.0 < area < math.inf and math.isfinite(ax) and math.isfinite(ay)):
-            raise DegeneracyError("polygon area underflows or overflows double precision")
-        return (ax / (3.0 * area), ay / (3.0 * area))
+        return _centroid(self.float_ring())
 
     def float_ring(self) -> list[tuple[float, float]]:
         return [v.xy for v in self.ring]
@@ -341,6 +328,20 @@ class ConvexPolygon:
     def grid(self) -> Grid:
         """Integer view (D, X, Y) of the ring, computed once."""
         return _stored_grid(self, self.ring)
+
+
+def _centroid(ring: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """Area centroid of a counterclockwise ring of float points."""
+    ax = ay = area = 0.0
+    x0, y0 = ring[0]
+    for (x1, y1), (x2, y2) in zip(ring[1:-1], ring[2:]):
+        t = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        area += t
+        ax += t * (x0 + x1 + x2)
+        ay += t * (y0 + y1 + y2)
+    if not (0.0 < area < math.inf and math.isfinite(ax) and math.isfinite(ay)):
+        raise DegeneracyError("polygon area underflows or overflows double precision")
+    return (ax / (3.0 * area), ay / (3.0 * area))
 
 
 def perimeter(polygon: ConvexPolygon) -> float:
@@ -480,25 +481,29 @@ def _turns_both_ways(ring: Polyline) -> bool:
     return LEFT in turns and RIGHT in turns
 
 
-def _require_inside(poly: Polyline, body: ConvexPolygon) -> None:
-    """Refuse a polyline with a vertex outside the body, on the polyline's
-    own integer view: the ring is scaled once per call."""
+def _inside(poly: Polyline, body: ConvexPolygon) -> bool:
+    """Whether no vertex of the polyline lies outside the body, on the
+    polyline's own integer view: the ring is scaled once per call."""
     q, pxs, pys = poly.grid
     d, xs, ys = _scaled_ring(body, q)
     for x, y in zip(pxs, pys):
         xs[-1], ys[-1] = x * d, y * d
         if _classify(xs, ys) == EXTERIOR:
-            raise PreconditionError("polyline is not contained in the body")
+            return False
+    return True
 
 
-def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
-    """Counterclockwise convex hull with collinear boundary points dropped.
+def _require_inside(poly: Polyline, body: ConvexPolygon) -> None:
+    """Refuse a polyline with a vertex outside the body (`_inside`)."""
+    if not _inside(poly, body):
+        raise PreconditionError("polyline is not contained in the body")
 
-    Sorts, deduplicates and turns on the points' integer view.  Raises
-    DegeneracyError when the input spans no area (fewer than 3 distinct
-    points, or all collinear).
-    """
-    _, xs, ys = _grid_of(points)
+
+def _hull_indices(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Monotone chain on an integer view: the indices of the counterclockwise
+    convex hull's vertices, the first index of each distinct point, with
+    collinear boundary points dropped.  Raises DegeneracyError when the
+    points span no area (fewer than 3 distinct points, or all collinear)."""
     first: dict[tuple[int, int], int] = {}
     for i, key in enumerate(zip(xs, ys)):
         first.setdefault(key, i)
@@ -517,7 +522,18 @@ def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
     ring = half(pts)[:-1] + half(pts[::-1])[:-1]
     if len(ring) < 3:
         raise DegeneracyError("points are collinear; hull is degenerate")
-    return ConvexPolygon(tuple(points[i] for i in ring))
+    return ring
+
+
+def convex_hull(points: Sequence[Point]) -> ConvexPolygon:
+    """Counterclockwise convex hull with collinear boundary points dropped.
+
+    Sorts, deduplicates and turns on the points' integer view
+    (`_hull_indices`).  Raises DegeneracyError when the input spans no area
+    (fewer than 3 distinct points, or all collinear).
+    """
+    _, xs, ys = _grid_of(points)
+    return ConvexPolygon(tuple(points[i] for i in _hull_indices(xs, ys)))
 
 
 @dataclass(frozen=True)

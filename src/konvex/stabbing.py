@@ -42,9 +42,12 @@ its rounding-error band cannot separate with an int cross product of grid
 differences, so its intervals and scores are exact, and its witnesses are
 rational lines built from grid ints.  The random oracle and the witness
 screen count crossings with one exact integer table (`_crossing_table`) of
-the grid ints' sorted projections on integer normals.  The oracle's lines
-lie on 2048 fixed normals, half way between two integer projections, so no
-line passes through a vertex and every screen count is exact.  The sweep
+the grid ints' projections on integer normals: one sort of packed keys
+8·projection + weight + 2 orders the projections and carries each vertex's
+edge weights into their prefix sums.  The oracle's lines lie on 2048 fixed
+normals, half way between two integer projections, so no line passes
+through a vertex and every screen count is exact; a slice of its lines is
+placed by one search of the slice's rows stacked into one array.  The sweep
 and the oracle replay candidates exactly in descending score until no
 remaining score can beat the best exact count, so screening never changes
 a reported number.
@@ -64,13 +67,13 @@ trial curves, sorted by vertex count, into batches of at most
 _BATCH_ENTRIES padded entries and asks only whether some line meets a
 curve more than r times.  One exact line with r + 1 components answers
 that, so each batch first takes the witness screen: for each of 16 small
-integer normals (a, b), the crossing table counts, in int64, the edges that
-the line 2a·X + 2b·Y = p + q crosses, for every gap p < q between
-consecutive distinct projections.  That line passes through no vertex, and
-its count is exact.  A curve whose largest
-count exceeds r replays those lines, in descending count, until an exact
-count reaches r + 1; such a line meets the curve only in crossings, so its
-replay counts distinct crossing places, with no pieces to merge.  On the
+integer normals (a, b), the crossing table counts, in int64 packed keys,
+the edges that the line 2a·X + 2b·Y = p + q crosses, for every gap p < q
+between consecutive distinct projections.  That line passes through no
+vertex, and its count is exact.  A curve whose largest count exceeds r
+replays those lines, in descending count, until an exact count reaches
+r + 1; such a line meets the curve only in crossings, so its replay counts
+distinct crossing places, with no pieces to merge.  On the
 benchmark's falsify cycle the screen decides 1128 of the 1166 curves above
 r (97 %).  Only the curves it leaves are swept.  A curve whose every score
 is at most r is within r with no replay, since the scores bound every
@@ -131,18 +134,21 @@ _WITNESS_NORMALS = (
     (0, 1), (-1, 5), (-2, 5), (-2, 3), (-1, 1), (-3, 2), (-5, 2), (-5, 1),
 )
 _WITNESS_A, _WITNESS_B = np.array(_WITNESS_NORMALS).T[:, :, None]
-# grid ints within ±_WITNESS_BOUND keep every projection a·X + b·Y below 2^62
-# in absolute value, and every sum of two within int64
-_WITNESS_BOUND = (2**62 - 1) // max(abs(a) + abs(b) for a, b in _WITNESS_NORMALS)
+# grid ints within ±_WITNESS_BOUND keep every projection a·X + b·Y below 2^59
+# in absolute value, so its packed key (`_crossing_table`) and every sum of
+# two projections fit int64
+_WITNESS_BOUND = (2**59 - 1) // max(abs(a) + abs(b) for a, b in _WITNESS_NORMALS)
 # the oracle's integer normals (a, b) = round(4096·(cos φ, sin φ)), one at
-# the centre φ = (j + ½)·π/2048 of each of 2048 direction buckets, and its
-# int64 bound, which keeps every projection below 2^62 in absolute value
+# the centre φ = (j + ½)·π/2048 of each of 2048 direction buckets, their
+# largest |a| + |b|, and its int64 bound, which keeps every projection below
+# 2^59 in absolute value
 _ORACLE_BUCKETS = 2048
 _ORACLE_NORMALS = np.array([
     (round(4096 * math.cos(phi)), round(4096 * math.sin(phi)))
     for phi in ((j + 0.5) * math.pi / _ORACLE_BUCKETS for j in range(_ORACLE_BUCKETS))
 ])
-_ORACLE_BOUND = (2**62 - 1) // int(np.abs(_ORACLE_NORMALS).sum(axis=1).max())
+_ORACLE_REACH = int(np.abs(_ORACLE_NORMALS).sum(axis=1).max())
+_ORACLE_BOUND = (2**59 - 1) // _ORACLE_REACH
 
 # sweep candidates for a pivot and its angular interval (or event) k
 _EVENT = 0  # the line through the pivot and the vertices of event k
@@ -746,14 +752,23 @@ def _crossing_table(
     axis, and integer normals (a, b) broadcast against them: the
     projections a·X + b·Y sorted along that axis, and at each place the
     number of edges that a line a·X + b·Y = t crosses, for t between that
-    projection and the next when they differ (0 at the last place).  Exact
-    in the arrays' dtype: int64, or Python ints in object arrays."""
+    projection and the next when they differ (0 at the last place).
+
+    Each edge weighs +1 at its lower end and -1 at its upper end, so a
+    vertex weighs -2..2, and one sort of the packed keys 8·proj + weight + 2
+    orders both: a key's projection is key >> 3 and its weight (key & 7) - 2.
+    Equal projections sort in any order of their weights, which changes no
+    sum at the last place of their group, the only place a reader reads.
+    Exact in the arrays' dtype: int64 while every projection lies within
+    ±2^59, or Python ints in object arrays."""
     proj = a * xs + b * ys
-    # each edge weighs +1 at its lower end and -1 at its upper end
-    weight = np.diff(np.sign(np.diff(proj, axis=-1)), axis=-1, prepend=0, append=0)
-    order = np.argsort(proj, axis=-1)
-    crossed = np.cumsum(np.take_along_axis(weight, order, axis=-1), axis=-1)
-    return np.take_along_axis(proj, order, axis=-1), crossed
+    # edge i adds its rise at vertex i and takes it at vertex i + 1
+    rise = np.sign(np.diff(proj, axis=-1))
+    keys = 8 * proj + 2
+    keys[..., :-1] += rise
+    keys[..., 1:] -= rise
+    keys.sort(axis=-1)
+    return keys >> 3, np.cumsum((keys & 7) - 2, axis=-1)
 
 
 def _witness_gaps(polys: Sequence[Polyline]) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -768,7 +783,7 @@ def _witness_gaps(polys: Sequence[Polyline]) -> tuple[list[int], np.ndarray, np.
     Returns the indices of the screened polylines, their counts and their
     sums (screened × normals; a count of 0 has no gap line).  A polyline is
     screened when its grid ints all lie within ±_WITNESS_BOUND, so that its
-    projections and their sums fit in int64.
+    packed keys and the sums of its projections fit in int64.
 
     Each polyline is an open chain of the batch's width: a closed one
     repeats its first vertex, which closes it, and an open one its last.
@@ -861,19 +876,33 @@ def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_lines(poly: Polyline, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's random lines 2a·X + 2b·Y = 2k + 1 on the polyline's
-    integer grid, as (2a, 2b, 2k + 1) rows in ascending bucket j, and the
-    exact number of edges each crosses.  The bucket is uniform over the
-    normals (a, b) = _ORACLE_NORMALS[j], and k = lo + ⌊u·(hi - lo)⌋, for u
-    uniform on [0, 1) and the normal's extreme projections lo <= hi, so by
-    parity no line passes through a vertex.  Tables are built for the drawn
-    normals only, in slices of at most _TABLE_ENTRIES entries, in int64
-    while the grid ints lie within ±_ORACLE_BOUND and in Python ints beyond.
-    u·(hi - lo) is a float product in int64, below 2^63, and exact in Python
-    ints, as (hi - lo)·u·2^53 >> 53."""
+def _oracle_lines(
+    poly: Polyline, trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's random lines on the polyline's integer grid, in
+    ascending bucket j: each line's bucket, its level k and the exact number
+    of edges that the line 2a·X + 2b·Y = 2k + 1 (`_oracle_line`) crosses.
+    The bucket is uniform over the normals (a, b) = _ORACLE_NORMALS[j], and
+    k = lo + ⌊u·(hi - lo)⌋, for u uniform on [0, 1) and the normal's extreme
+    projections lo <= hi, so by parity no line passes through a vertex.
+
+    Tables are built for the drawn normals only, in slices of at most
+    _TABLE_ENTRIES entries, in int64 while the grid ints lie within
+    ±_ORACLE_BOUND and in Python ints beyond.  A slice's lines are placed
+    by one search of its rows stacked into one ascending array: row i's
+    levels, less its lowest, plus i·width, for width one more than the
+    slice's largest span.  In int64 the rows per slice are capped so that
+    those keys stay below 2^63: a span is at most _ORACLE_REACH times the
+    curve's extent.  u·(hi - lo) is a float product in int64, below 2^63,
+    and exact in Python ints, as (hi - lo)·u·2^53 >> 53."""
     rng = np.random.default_rng(seed)
-    bucket = np.sort((_ORACLE_BUCKETS * rng.random(trials)).astype(np.int64))
+    # the drawn buckets in ascending order: equal buckets are alike, so
+    # counting them sorts them
+    drawn = np.bincount((_ORACLE_BUCKETS * rng.random(trials)).astype(np.int64),
+                        minlength=_ORACLE_BUCKETS)
+    present = np.flatnonzero(drawn)
+    bounds = np.concatenate([[0], np.cumsum(drawn[present])])
+    bucket = np.repeat(present, drawn[present])
     u = rng.random(trials)
     _, xs, ys = poly.grid
     wide = max(map(abs, xs + ys)) > _ORACLE_BOUND
@@ -881,31 +910,37 @@ def _oracle_lines(poly: Polyline, trials: int, seed: int) -> tuple[np.ndarray, n
     # a closed curve repeats its first vertex, which closes it
     chain = np.array([xs + xs[: poly.closed], ys + ys[: poly.closed]], dtype=dtype)
 
-    # the lines of bucket present[i] are bounds[i]:bounds[i + 1]
-    present, bounds = np.unique(bucket, return_index=True)
-    bounds = np.append(bounds, trials)
-    offset = np.empty(trials, dtype=dtype)
+    level = np.empty(trials, dtype=dtype)
     counts = np.empty(trials, dtype=np.int64)
     step = max(1, _TABLE_ENTRIES // chain.shape[1])
+    if not wide:
+        extent = max(max(xs) - min(xs), max(ys) - min(ys))
+        step = min(step, 2**63 // (_ORACLE_REACH * extent + 1))
     for lo in range(0, len(present), step):
         a, b = _ORACLE_NORMALS[present[lo : lo + step]].T.astype(dtype)[:, :, None]
-        proj, crossed = _crossing_table(chain[0], chain[1], a, b)
+        levels, crossed = _crossing_table(chain[0], chain[1], a, b)
         cuts = bounds[lo : lo + step + 1].tolist()
         rows = slice(cuts[0], cuts[-1])
-        local = np.repeat(np.arange(len(proj)), np.diff(cuts))
-        low = proj[local, 0]
-        span = proj[local, -1] - low
+        local = np.repeat(np.arange(len(levels)), np.diff(cuts))
+        low = levels[:, 0]
+        span = levels[:, -1] - low
         if wide:
-            shift = (span * (u[rows] * 2.0**53).astype(np.int64).astype(object)) >> 53
+            shift = (span[local] * (u[rows] * 2.0**53).astype(np.int64).astype(object)) >> 53
         else:
-            shift = (u[rows] * span).astype(np.int64)
-        offset[rows] = low + shift
-        place = np.concatenate([
-            np.searchsorted(levels, offset[i:j], "right")
-            for levels, i, j in zip(proj, cuts, cuts[1:])
-        ])
-        counts[rows] = crossed[local, place - 1]
-    return np.column_stack([2 * _ORACLE_NORMALS[bucket], 2 * offset + 1]), counts
+            shift = (u[rows] * span[local]).astype(np.int64)
+        level[rows] = low[local] + shift
+        lift = np.arange(len(levels), dtype=dtype) * (span.max() + 1)
+        stacked = levels - low[:, None] + lift[:, None]
+        place = np.searchsorted(stacked.ravel(), shift + lift[local], "right") - 1
+        counts[rows] = crossed.ravel()[place]
+    return bucket, level, counts
+
+
+def _oracle_line(bucket: int, level: int) -> tuple[int, int, int]:
+    """The coefs (2a, 2b, 2k + 1) of the oracle's line 2a·X + 2b·Y = 2k + 1
+    for the normal (a, b) of a bucket and a level k."""
+    a, b = _ORACLE_NORMALS[bucket].tolist()
+    return 2 * a, 2 * b, 2 * level + 1
 
 
 def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityReport:
@@ -916,19 +951,19 @@ def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityRe
     the vertices' projection extent, between two integer levels, so no line
     passes through a vertex and each screen count is exact (`_oracle_lines`).
     The counts are replayed in descending order by the exact count of
-    distinct crossing places (`_gap_count`); only the best line builds its
-    components.  Deterministic for a fixed seed.  Coordinates must lie
-    within ±2^500.
+    distinct crossing places (`_gap_count`); a line's coefs are built only
+    when it is replayed, and only the best line builds its components.
+    Deterministic for a fixed seed.  Coordinates must lie within ±2^500.
     """
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
     if seed < 0:
         raise PreconditionError("seed must be non-negative")
     _float_points(poly)  # refuses coordinates beyond ±2^500
-    lines, counts = _oracle_lines(poly, trials, seed)
+    bucket, level, counts = _oracle_lines(poly, trials, seed)
 
     def replay(i: int) -> _Replay:
-        coefs = tuple(lines[i].tolist())
+        coefs = _oracle_line(int(bucket[i]), int(level[i]))
         return _gap_count(poly, coefs), coefs, 1
 
     return _witness(poly, _replay_descending(counts, replay, None, math.inf), METHOD_ORACLE)

@@ -1,5 +1,5 @@
 """Exact `Fraction` references that only the tests use: the cross product,
-a line's value and side at a point, a line from a direction and an offset,
+the squared distance, a line's value and side at a point, a line from a direction and an offset,
 exact rational rigid motions, the quadratic diameter scan and the sweep's
 re-shift test.
 
@@ -22,7 +22,6 @@ from konvex.geometry import (
     Line,
     Point,
     _root,
-    dist_sq,
     to_fraction,
 )
 
@@ -30,6 +29,13 @@ from konvex.geometry import (
 def cross(o: Point, a: Point, b: Point) -> Fraction:
     """Exact cross product (a - o) x (b - o); twice the signed triangle area."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def dist_sq(a: Point, b: Point) -> Fraction:
+    """Exact squared distance."""
+    dx = a.x - b.x
+    dy = a.y - b.y
+    return dx * dx + dy * dy
 
 
 def value_at(line: Line, p: Point) -> Fraction:

@@ -1,10 +1,26 @@
 import hashlib
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from konvex.builder import ConstructionParams, _bowed_arc, _check_arc, _inset_ring, build_curve
+from konvex.builder import (
+    _GAP,
+    ConstructionParams,
+    _assemble,
+    _bowed_arc,
+    _chain_loops,
+    _check_arc,
+    _gap_anchor,
+    _grid_hull,
+    _inset_ring,
+    _odd_tail,
+    build_curve,
+)
 from konvex.errors import ConstructionError, DegeneracyError, PreconditionError
 from konvex.formats import serialize_polyline, to_json
 from konvex.geometry import (
@@ -14,18 +30,21 @@ from konvex.geometry import (
     ConvexPolygon,
     Point,
     Polyline,
+    _inside,
     contains,
     convex_hull,
     diameter,
     orientation,
     polyline_length,
 )
-from konvex.random_shapes import random_convex_polygon
+from konvex.random_shapes import GRID, random_convex_polygon
 from konvex.stabbing import line_multiplicity, random_line_oracle
 from konvex.verifier import s_bound
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 TRIANGLE = ConvexPolygon((Point(0, 0), Point(3, 0), Point(1, 2)))
+# the square's ring as grid points, X = x·GRID
+SQUARE_GRID = [(0, 0), (GRID, 0), (GRID, GRID), (0, GRID)]
 
 
 def assert_strictly_convex_ring(poly):
@@ -37,13 +56,18 @@ def assert_strictly_convex_ring(poly):
 
 def square_inset_ring(depth, m, seed):
     """The square's inset ring at `depth`, as build_curve draws each loop."""
-    return _inset_ring(SQUARE, depth, m, np.random.default_rng(seed)).as_polyline()
+    ring = _inset_ring(SQUARE, depth, m, np.random.default_rng(seed))
+    return Polyline.from_grid(GRID, *zip(*ring), closed=True)
+
+
+def diagonal_arc_points(bow, m):
+    """A bowed arc down the square's diameter chord, bulging toward (0, 1),
+    as build_curve's odd-r tail draws it: its grid points."""
+    return _bowed_arc((0, 0), (GRID, GRID), (0, GRID), bow, m)
 
 
 def diagonal_arc(bow, m):
-    """A bowed arc down the square's diameter chord, bulging toward (0, 1),
-    as build_curve's odd-r tail draws it."""
-    return Polyline(tuple(_bowed_arc(Point(0, 0), Point(1, 1), Point(0, 1), bow, m)))
+    return Polyline.from_grid(GRID, *zip(*diagonal_arc_points(bow, m)))
 
 
 class TestInsetLoop:
@@ -97,15 +121,77 @@ class TestDiameterChordArc:
                     assert orientation(verts[i], verts[j], verts[k]) != 0
 
     def test_bow_too_large(self):
-        arc = diagonal_arc(bow=0.9, m=16)
+        arc = diagonal_arc_points(bow=0.9, m=16)
         with pytest.raises(DegeneracyError, match="leaves the inner ring"):
-            _check_arc(SQUARE, list(arc.vertices), Point(0, 1))
+            _check_arc(SQUARE_GRID, arc, (0, GRID))
 
     def test_interior_vertices_inside_body(self):
         arc = diagonal_arc(bow=0.02, m=16)
         for v in arc.vertices[1:-1]:
             assert contains(SQUARE, v) == INTERIOR
-        _check_arc(SQUARE, list(arc.vertices), Point(0, 1))
+        _check_arc(SQUARE_GRID, diagonal_arc_points(bow=0.02, m=16), (0, GRID))
+
+
+@st.composite
+def clouds(draw) -> list[tuple[int, int]]:
+    """Grid points of small lattice clouds: repeated points, points on one
+    line, and too few distinct points, at steps down to one grid unit."""
+    lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    if draw(st.booleans()):
+        raw = draw(st.lists(lattice, min_size=1, max_size=12))
+    else:  # on the line y = 2x + 1, with one point off it or none
+        raw = [(k, 2 * k + 1) for k in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8))]
+        raw += draw(st.lists(lattice, max_size=1))
+    raw += draw(st.lists(st.sampled_from(raw), max_size=4))  # repeats
+    raw = draw(st.permutations(raw))
+    step = draw(st.sampled_from([1, 7, 10**6, GRID]))
+    return [(x * step, y * step) for x, y in raw]
+
+
+class TestGridHull:
+    @settings(max_examples=300, deadline=None)
+    @given(clouds())
+    def test_same_ring_and_errors_as_convex_hull(self, cloud):
+        points = [Point(Fraction(x, GRID), Fraction(y, GRID)) for x, y in cloud]
+        try:
+            ring = convex_hull(points).ring
+        except DegeneracyError as exc:
+            with pytest.raises(DegeneracyError, match=re.escape(str(exc))):
+                _grid_hull(cloud)
+            return
+        assert _grid_hull(cloud) == [(int(p.x * GRID), int(p.y * GRID)) for p in ring]
+
+
+GON40 = random_convex_polygon(np.random.default_rng(40), 40)
+
+
+@pytest.mark.parametrize("body, r", [(SQUARE, 2), (SQUARE, 3), (SQUARE, 5), (GON40, 3)],
+                         ids=["square-r2", "square-r3", "square-r5", "gon40-r3"])
+def test_rings_tail_and_containment_make_no_fraction(monkeypatch, body, r):
+    # the loops, the odd tail and the containment check of build_curve's
+    # first try, on the benchmark's bodies, run on grid ints alone
+    params = ConstructionParams(r=r, eps=0.05 * s_bound(body, r), m=96, seed=1)
+    anchor_idx, anchor_dir = _gap_anchor(body)
+    inset = params.eps / (8.0 * params.n_loops)
+
+    def run():
+        rng = np.random.default_rng([params.seed, 10_000 * (r % 2)])
+        rings, opens, starts = _chain_loops(
+            body, params, rng, inset, _GAP, params.n_loops, anchor_idx, anchor_dir
+        )
+        tail = _odd_tail(rings[-1], opens[-1][-1], starts[-1], params.m) if r % 2 else []
+        curve = Polyline.from_grid(GRID, *zip(*(_assemble(opens) + tail)))
+        return curve, _inside(curve, body)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    guarded = run()
+    monkeypatch.undo()
+    assert guarded == run()
+    curve, inside = guarded
+    assert inside and len(curve) > params.n_loops * params.m // 2
 
 
 class TestBuildEven:

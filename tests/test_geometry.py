@@ -20,7 +20,6 @@ from konvex.geometry import (
     contains,
     convex_hull,
     diameter,
-    dist_sq,
     orientation,
     perimeter,
     polyline_length,
@@ -31,6 +30,7 @@ from konvex.random_shapes import random_convex_polygon
 from fraction_oracle import (
     cross,
     diameter_bruteforce,
+    dist_sq,
     line_from_direction_offset,
     rigid_motion,
     side_of,

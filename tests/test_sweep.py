@@ -451,7 +451,8 @@ class TestCrossingTable:
     def test_counts_against_python_ints(self, chain, normals, data):
         xs, ys = chain
         a, b = np.array(normals).T[:, :, None]
-        fits = max(map(abs, xs + ys)) <= (2**62 - 1) // int((abs(a) + abs(b)).max())
+        # the packed keys 8·proj + weight + 2 fit int64 while |proj| < 2^59
+        fits = max(map(abs, xs + ys)) <= (2**59 - 1) // int((abs(a) + abs(b)).max())
         tables = [_crossing_table(np.array(xs, object), np.array(ys, object), a.astype(object),
                                   b.astype(object))]
         if fits:
@@ -467,14 +468,21 @@ class TestCrossingTable:
                     assert crossed[row, place] == expected
 
 
+def oracle_rows(poly: Polyline, trials: int, seed: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """The oracle's lines as (2a, 2b, 2k + 1) rows, built by the oracle's
+    own `_oracle_line`, and their table counts."""
+    bucket, level, counts = stabbing._oracle_lines(poly, trials, seed)
+    return list(map(stabbing._oracle_line, bucket.tolist(), level.tolist())), counts
+
+
 def oracle_lines_are_exact(poly: Polyline, trials: int, seed: int) -> np.ndarray:
     """Check every line 2a·X + 2b·Y = 2k + 1 of the oracle: its normal one of
     the oracle's, its level k within the normal's projection extent and its
     count the Python-int number of edges it crosses.  Returns the counts."""
-    lines, counts = stabbing._oracle_lines(poly, trials, seed)
+    lines, counts = oracle_rows(poly, trials, seed)
     normals = set(map(tuple, stabbing._ORACLE_NORMALS.tolist()))
     _, xs, ys = poly.grid
-    for (a2, b2, c), count in zip(lines.tolist(), counts.tolist()):
+    for (a2, b2, c), count in zip(lines, counts.tolist()):
         a, b, k = a2 // 2, b2 // 2, c // 2
         assert (a2, b2, c) == (2 * a, 2 * b, 2 * k + 1) and (a, b) in normals
         proj = [a * x + b * y for x, y in zip(xs, ys)]
@@ -509,9 +517,23 @@ class TestOracleScreen:
         bound = stabbing._ORACLE_BOUND
         for x, dtype in ((bound, np.int64), (bound + 1, object)):
             poly = zigzag(x, 9)
-            assert stabbing._oracle_lines(poly, 5, 0)[0].dtype == dtype
+            assert stabbing._oracle_lines(poly, 5, 0)[1].dtype == dtype
             assert oracle_lines_are_exact(poly, 400, 3).max() == 8
             assert random_line_oracle(poly, 400, 3).count == 8
+        # with no entry budget, the extent 2·bound alone slices the table: a
+        # span reaches about 2^60, so 8 rows stack below 2^63
+        monkeypatch.setattr(stabbing, "_TABLE_ENTRIES", 1 << 40)
+        rows = []
+        table = stabbing._crossing_table
+
+        def recording(xs, ys, a, b):
+            rows.append(len(a))
+            return table(xs, ys, a, b)
+
+        monkeypatch.setattr(stabbing, "_crossing_table", recording)
+        assert 2**63 // (stabbing._ORACLE_REACH * 2 * bound + 1) == 8
+        assert oracle_lines_are_exact(zigzag(bound, 9), 400, 3).max() == 8
+        assert len(rows) > 1 and max(rows) == 8
 
     @pytest.mark.parametrize("seed", range(3))
     def test_replays_are_exact(self, seed):
@@ -522,11 +544,10 @@ class TestOracleScreen:
         retraced = Polyline(loop.vertices + loop.vertices[:1] + loop.vertices[1:6])
         for poly in (retraced, grid_polyline(rng, 4, 14, closed=False)):
             report = random_line_oracle(poly, 800, seed)
-            lines, counts = stabbing._oracle_lines(poly, 800, seed)
-            lines = lines.tolist()
+            lines, counts = oracle_rows(poly, 800, seed)
             witness = report.witness
             coefs = [int(v) for v in (witness.nx, witness.ny, witness.c * poly.grid[0])]
-            assert coefs in lines
+            assert tuple(coefs) in lines
             assert report.count == stabbing._gap_count(poly, coefs)
             assert report.count == line_multiplicity(witness, poly).count
             exact = [stabbing._gap_count(poly, line) for line in lines]

@@ -313,8 +313,8 @@ class TestGapCount:
             Point(1, Fraction(3, 2**600) + 2**498), Point(2**499, 2**499),
         ))
         assert random_line_oracle(poly, 100, 1).count == 4 == max_line_multiplicity(poly).count
-        lines, _ = stabbing._oracle_lines(poly, 100, 1)
-        for coefs in lines.tolist():
+        bucket, level, _ = stabbing._oracle_lines(poly, 100, 1)
+        for coefs in map(stabbing._oracle_line, bucket.tolist(), level.tolist()):
             assert _gap_count(poly, coefs) == _grid_count(poly, coefs)
 
     def test_the_witness_screen_merges_no_pieces(self, monkeypatch):
