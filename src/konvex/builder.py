@@ -528,5 +528,5 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
     if failing_report is None and longest == 0.0:  # no attempt built a curve
         message += "; no strictly convex inset ring could be built"
     elif failing_report is None:  # no attempt was long enough to verify
-        message += f"; longest curve {longest:.6g} < {target - 0.9 * params.eps:.6g}"
+        message += f"; longest curve {longest!r} < {target - 0.9 * params.eps!r}"
     raise ConstructionError(message, failing_report)

@@ -40,17 +40,18 @@ is the polyline's own, X/D, an int true division with the same bits as
 orders directions by float angle and re-decides every pair of angles that
 its rounding-error band cannot separate with an int cross product of grid
 differences, so its intervals and scores are exact, and its witnesses are
-rational lines built from grid ints.  The random oracle and the witness
-screen count crossings with one exact integer table (`_crossing_table`) of
-the grid ints' projections on integer normals: one sort of packed keys
-8·projection + weight + 2 orders the projections and carries each vertex's
-edge weights into their prefix sums.  The oracle's lines lie on 2048 fixed
-normals, half way between two integer projections, so no line passes
-through a vertex and every screen count is exact; a slice of its lines is
-placed by one search of the slice's rows stacked into one array.  The sweep
-and the oracle replay candidates exactly in descending score until no
-remaining score can beat the best exact count, so screening never changes
-a reported number.
+rational lines built from grid ints.  The oracle and the witness screen
+count crossings with one exact integer table (`_crossing_table`) of the
+grid ints' projections on integer normals, read at its gaps
+(`_gap_counts`): one sort of packed keys 8·projection + weight + 2 orders
+the projections and carries each vertex's edge weights into their prefix
+sums, and for consecutive distinct projections p < q the line
+2a·X + 2b·Y = p + q passes through no vertex, so its table count is exact.
+The oracle reads every gap of the normals, among 2048 fixed ones, that its
+seed draws: a deterministic family of lines, not a random sample of
+offsets.  The sweep and the oracle replay candidates exactly in descending
+score until no remaining score can beat the best exact count, so screening
+never changes a reported number.
 
 `find_stabbing_line` runs the same sweep and replay but stops at the first
 candidate whose exact count reaches r + 1, so the constructive direction of
@@ -139,16 +140,15 @@ _WITNESS_A, _WITNESS_B = np.array(_WITNESS_NORMALS).T[:, :, None]
 # two projections fit int64
 _WITNESS_BOUND = (2**59 - 1) // max(abs(a) + abs(b) for a, b in _WITNESS_NORMALS)
 # the oracle's integer normals (a, b) = round(4096·(cos φ, sin φ)), one at
-# the centre φ = (j + ½)·π/2048 of each of 2048 direction buckets, their
-# largest |a| + |b|, and its int64 bound, which keeps every projection below
+# the centre φ = (j + ½)·π/2048 of each of 2048 direction buckets, and the
+# int64 bound of their largest |a| + |b|, which keeps every projection below
 # 2^59 in absolute value
 _ORACLE_BUCKETS = 2048
 _ORACLE_NORMALS = np.array([
     (round(4096 * math.cos(phi)), round(4096 * math.sin(phi)))
     for phi in ((j + 0.5) * math.pi / _ORACLE_BUCKETS for j in range(_ORACLE_BUCKETS))
 ])
-_ORACLE_REACH = int(np.abs(_ORACLE_NORMALS).sum(axis=1).max())
-_ORACLE_BOUND = (2**59 - 1) // _ORACLE_REACH
+_ORACLE_BOUND = (2**59 - 1) // int(np.abs(_ORACLE_NORMALS).sum(axis=1).max())
 
 # sweep candidates for a pivot and its angular interval (or event) k
 _EVENT = 0  # the line through the pivot and the vertices of event k
@@ -771,9 +771,21 @@ def _crossing_table(
     return keys >> 3, np.cumsum((keys & 7) - 2, axis=-1)
 
 
+def _gap_counts(
+    xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The crossing table (`_crossing_table`) read at its gaps: the sorted
+    projections p, and at each place i the number of edges that the line
+    2a·X + 2b·Y = p[i] + p[i + 1] crosses, 0 where p[i] = p[i + 1].  That
+    line passes through no vertex, so the count is its exact number of
+    strict crossings."""
+    proj, crossed = _crossing_table(xs, ys, a, b)
+    return proj, np.where(proj[..., 1:] > proj[..., :-1], crossed[..., :-1], 0)
+
+
 def _witness_gaps(polys: Sequence[Polyline]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The witness screen's reading of the crossing table
-    (`_crossing_table`): for each polyline it screens and each normal
+    """The witness screen's reading of the crossing table at its gaps
+    (`_gap_counts`): for each polyline it screens and each normal
     (a, b) of _WITNESS_NORMALS, the largest number of edges crossed
     by a line a·X + b·Y = t on the polyline's integer grid with t strictly
     between two consecutive distinct projections p < q, and the first such
@@ -804,8 +816,7 @@ def _witness_gaps(polys: Sequence[Polyline]) -> tuple[list[int], np.ndarray, np.
             ys.extend([py[end]] * fill)
     grid = np.array([xs, ys], dtype=np.int64).reshape(2, len(fits), 1, width)
     # polyline × normal × vertex
-    proj, crossed = _crossing_table(grid[0], grid[1], _WITNESS_A, _WITNESS_B)
-    counts = np.where(proj[:, :, 1:] > proj[:, :, :-1], crossed[:, :, :-1], 0)
+    proj, counts = _gap_counts(grid[0], grid[1], _WITNESS_A, _WITNESS_B)
     gap = counts.argmax(axis=2)[:, :, None]
     sums = np.take_along_axis(proj, gap, axis=2) + np.take_along_axis(proj, gap + 1, axis=2)
     return fits, counts.max(axis=2), sums[:, :, 0]
@@ -872,101 +883,66 @@ def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
 
 
 # ---------------------------------------------------------------------------
-# independent check: random lines on the exact crossing table
+# independent check: the gap lines of drawn normals, on the exact crossing table
 # ---------------------------------------------------------------------------
 
 
-def _oracle_lines(
-    poly: Polyline, trials: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The oracle's random lines on the polyline's integer grid, in
-    ascending bucket j: each line's bucket, its level k and the exact number
-    of edges that the line 2a·X + 2b·Y = 2k + 1 (`_oracle_line`) crosses.
-    The bucket is uniform over the normals (a, b) = _ORACLE_NORMALS[j], and
-    k = lo + ⌊u·(hi - lo)⌋, for u uniform on [0, 1) and the normal's extreme
-    projections lo <= hi, so by parity no line passes through a vertex.
+def _oracle_best(poly: Polyline, trials: int, seed: int) -> _Replay:
+    """The best exact replay over every gap line (`_gap_counts`) of the
+    normals _ORACLE_NORMALS[j] drawn by `trials` uniform buckets j, starting
+    from a line of count 0 beyond the first drawn normal's top projection:
+    the answer when no drawn normal has a gap.
 
     Tables are built for the drawn normals only, in slices of at most
     _TABLE_ENTRIES entries, in int64 while the grid ints lie within
-    ±_ORACLE_BOUND and in Python ints beyond.  A slice's lines are placed
-    by one search of its rows stacked into one ascending array: row i's
-    levels, less its lowest, plus i·width, for width one more than the
-    slice's largest span.  In int64 the rows per slice are capped so that
-    those keys stay below 2^63: a span is at most _ORACLE_REACH times the
-    curve's extent.  u·(hi - lo) is a float product in int64, below 2^63,
-    and exact in Python ints, as (hi - lo)·u·2^53 >> 53."""
+    ±_ORACLE_BOUND and in Python ints beyond.  Each slice is replayed in
+    descending table count (`_replay_descending`) while a count can still
+    beat the best exact one, which the table count bounds."""
+    # the drawn buckets, ascending: counting them sorts them
     rng = np.random.default_rng(seed)
-    # the drawn buckets in ascending order: equal buckets are alike, so
-    # counting them sorts them
-    drawn = np.bincount((_ORACLE_BUCKETS * rng.random(trials)).astype(np.int64),
-                        minlength=_ORACLE_BUCKETS)
-    present = np.flatnonzero(drawn)
-    bounds = np.concatenate([[0], np.cumsum(drawn[present])])
-    bucket = np.repeat(present, drawn[present])
-    u = rng.random(trials)
+    drawn = np.flatnonzero(np.bincount((_ORACLE_BUCKETS * rng.random(trials)).astype(np.int64)))
     _, xs, ys = poly.grid
-    wide = max(map(abs, xs + ys)) > _ORACLE_BOUND
-    dtype = object if wide else np.int64
+    dtype = object if max(map(abs, xs + ys)) > _ORACLE_BOUND else np.int64
     # a closed curve repeats its first vertex, which closes it
     chain = np.array([xs + xs[: poly.closed], ys + ys[: poly.closed]], dtype=dtype)
-
-    level = np.empty(trials, dtype=dtype)
-    counts = np.empty(trials, dtype=np.int64)
+    a0, b0 = _ORACLE_NORMALS[drawn[0]].tolist()
+    top = max(a0 * x + b0 * y for x, y in zip(xs, ys))
+    best: _Replay = 0, (2 * a0, 2 * b0, 2 * top + 1), 1
     step = max(1, _TABLE_ENTRIES // chain.shape[1])
-    if not wide:
-        extent = max(max(xs) - min(xs), max(ys) - min(ys))
-        step = min(step, 2**63 // (_ORACLE_REACH * extent + 1))
-    for lo in range(0, len(present), step):
-        a, b = _ORACLE_NORMALS[present[lo : lo + step]].T.astype(dtype)[:, :, None]
-        levels, crossed = _crossing_table(chain[0], chain[1], a, b)
-        cuts = bounds[lo : lo + step + 1].tolist()
-        rows = slice(cuts[0], cuts[-1])
-        local = np.repeat(np.arange(len(levels)), np.diff(cuts))
-        low = levels[:, 0]
-        span = levels[:, -1] - low
-        if wide:
-            shift = (span[local] * (u[rows] * 2.0**53).astype(np.int64).astype(object)) >> 53
-        else:
-            shift = (u[rows] * span[local]).astype(np.int64)
-        level[rows] = low[local] + shift
-        lift = np.arange(len(levels), dtype=dtype) * (span.max() + 1)
-        stacked = levels - low[:, None] + lift[:, None]
-        place = np.searchsorted(stacked.ravel(), shift + lift[local], "right") - 1
-        counts[rows] = crossed.ravel()[place]
-    return bucket, level, counts
+    for lo in range(0, len(drawn), step):
+        normals = _ORACLE_NORMALS[drawn[lo : lo + step]]
+        a, b = normals.T.astype(dtype)[:, :, None]
+        proj, counts = _gap_counts(chain[0], chain[1], a, b)
 
+        def replay(flat: int) -> _Replay:
+            row, gap = divmod(flat, counts.shape[1])
+            na, nb = normals[row].tolist()
+            coefs = (2 * na, 2 * nb, int(proj[row, gap] + proj[row, gap + 1]))
+            return _gap_count(poly, coefs), coefs, 1
 
-def _oracle_line(bucket: int, level: int) -> tuple[int, int, int]:
-    """The coefs (2a, 2b, 2k + 1) of the oracle's line 2a·X + 2b·Y = 2k + 1
-    for the normal (a, b) of a bucket and a level k."""
-    a, b = _ORACLE_NORMALS[bucket].tolist()
-    return 2 * a, 2 * b, 2 * level + 1
+        best = _replay_descending(counts, replay, best, math.inf)
+    return best
 
 
 def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityReport:
-    """Maximum multiplicity over `trials` random lines; the independent check
-    for the rotational sweep.
+    """Maximum multiplicity over every gap line of the normals that `trials`
+    random draws pick; the independent check for the rotational sweep.
 
-    Directions are uniform over 2048 fixed integer normals and offsets over
-    the vertices' projection extent, between two integer levels, so no line
-    passes through a vertex and each screen count is exact (`_oracle_lines`).
-    The counts are replayed in descending order by the exact count of
-    distinct crossing places (`_gap_count`); a line's coefs are built only
-    when it is replayed, and only the best line builds its components.
-    Deterministic for a fixed seed.  Coordinates must lie within ±2^500.
+    The draws pick among 2048 fixed integer normals, and each gap between
+    two consecutive distinct projections on a drawn normal gives one line
+    through no vertex (`_oracle_best`): a deterministic family of lines for
+    a given seed, not a random sample of offsets.  Their crossing counts
+    are replayed in descending order by the exact count of distinct
+    crossing places (`_gap_count`), at most (drawn normals) × (edges) of
+    them; a line's coefs are built only when it is replayed, and only the
+    best line builds its components.  Coordinates must lie within ±2^500.
     """
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
     if seed < 0:
         raise PreconditionError("seed must be non-negative")
     _float_points(poly)  # refuses coordinates beyond ±2^500
-    bucket, level, counts = _oracle_lines(poly, trials, seed)
-
-    def replay(i: int) -> _Replay:
-        coefs = _oracle_line(int(bucket[i]), int(level[i]))
-        return _gap_count(poly, coefs), coefs, 1
-
-    return _witness(poly, _replay_descending(counts, replay, None, math.inf), METHOD_ORACLE)
+    return _witness(poly, _oracle_best(poly, trials, seed), METHOD_ORACLE)
 
 
 # ---------------------------------------------------------------------------

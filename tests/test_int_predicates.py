@@ -337,7 +337,7 @@ def test_predicates_do_no_fraction_arithmetic(monkeypatch):
             _turns_both_ways(closed),
             [outcome(_require_simple, poly) for poly in (closed, crossing, zigzag)],
             [(rows, scores.tolist(), rep.tolist()) for rows, scores, rep in sweep.scored_chunks()],
-            [array.tolist() for array in stabbing._oracle_lines(cluster, 300, 5)],
+            stabbing._oracle_best(cluster, 300, 5),
         )
 
     for name in FRACTION_DUNDERS:

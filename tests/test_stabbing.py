@@ -191,15 +191,18 @@ class TestMaxLineMultiplicity:
         assert a.witness == b.witness
 
     def test_oracle_count_and_witness_pinned(self, gap_replays):
-        # the top screen counts over-count on this curve, so the replay
-        # order (descending count, then draw order) decides the witness:
-        # 2a·x + 2b·y = (2k + 1)/D for the normal (a, b) = (4018, 796)
-        rep = random_line_oracle(half_retraced_loop(16), trials=1000, seed=1)
+        # the top screen counts over-count on this curve, so many gap lines
+        # are replayed and the replay order (descending count, then bucket
+        # and gap) decides the witness: 2a·x + 2b·y = (p + q)/D for the
+        # normal (a, b) = (-2087, 3525); reading every gap of the drawn
+        # normals finds the sweep's maximum
+        poly = half_retraced_loop(16)
+        rep = random_line_oracle(poly, trials=1000, seed=1)
         assert len(gap_replays) > 100
-        assert rep.count == 8
+        assert rep.count == 10 == max_line_multiplicity(poly).count
         assert rep.method == "oracle"
         assert (rep.witness.nx, rep.witness.ny, rep.witness.c) == (
-            8036, 1592, Fraction(6126021796235, 10**9)
+            -4174, 7050, Fraction(20686205567, 31250000)
         )
 
     def test_oracle_rejects_zero_trials(self):

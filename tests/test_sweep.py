@@ -2,15 +2,16 @@
 force over the whole line arrangement, its candidate scores against the
 sign-vector formula, a batched sweep against sweeps of one curve each, its
 float filter on near-degenerate and large inputs, and its invariance under
-exact similarity motions; the crossing table, the random oracle's counts
-and the witness screen of `_exceeds` against Python-int crossing loops."""
+exact similarity motions; the crossing table and the witness screen of
+`_exceeds` against Python-int crossing loops, and the oracle's count
+against the Python-int maximum over every gap line of its drawn normals."""
 
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from konvex import stabbing
@@ -468,37 +469,61 @@ class TestCrossingTable:
                     assert crossed[row, place] == expected
 
 
-def oracle_rows(poly: Polyline, trials: int, seed: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
-    """The oracle's lines as (2a, 2b, 2k + 1) rows, built by the oracle's
-    own `_oracle_line`, and their table counts."""
-    bucket, level, counts = stabbing._oracle_lines(poly, trials, seed)
-    return list(map(stabbing._oracle_line, bucket.tolist(), level.tolist())), counts
+def drawn_normals(trials: int, seed: int) -> list[tuple[int, int]]:
+    """The oracle's normals that `trials` uniform draws u pick, bucket
+    ⌊2048·u⌋ each, in ascending bucket."""
+    u = np.random.default_rng(seed).random(trials)
+    buckets = sorted(set((stabbing._ORACLE_BUCKETS * u).astype(int).tolist()))
+    return [tuple(stabbing._ORACLE_NORMALS[j].tolist()) for j in buckets]
 
 
-def oracle_lines_are_exact(poly: Polyline, trials: int, seed: int) -> np.ndarray:
-    """Check every line 2a·X + 2b·Y = 2k + 1 of the oracle: its normal one of
-    the oracle's, its level k within the normal's projection extent and its
-    count the Python-int number of edges it crosses.  Returns the counts."""
-    lines, counts = oracle_rows(poly, trials, seed)
-    normals = set(map(tuple, stabbing._ORACLE_NORMALS.tolist()))
-    _, xs, ys = poly.grid
-    for (a2, b2, c), count in zip(lines, counts.tolist()):
-        a, b, k = a2 // 2, b2 // 2, c // 2
-        assert (a2, b2, c) == (2 * a, 2 * b, 2 * k + 1) and (a, b) in normals
-        proj = [a * x + b * y for x, y in zip(xs, ys)]
-        assert min(proj) <= k <= max(proj)
-        assert strict_crossings(poly, (a2, b2, c)) == count
-    return counts
+def gap_line_maximum(poly: Polyline, trials: int, seed: int) -> int:
+    """The largest exact count, in Python ints, of a gap line
+    2a·X + 2b·Y = p + q on the drawn normals (a, b); 0 with no gap."""
+    return max((stabbing._grid_count(poly, (2 * a, 2 * b, s))
+                for a, b in drawn_normals(trials, seed) for s, _ in gap_crossings(poly, a, b)),
+               default=0)
+
+
+def assert_oracle_is_gap_line_maximum(
+    poly: Polyline, trials: int, seed: int
+) -> stabbing.MultiplicityReport:
+    """The oracle's count is the exact maximum over every gap line of its
+    drawn normals, bounded by the sweep's, and its witness's own count.
+    Returns the oracle's report."""
+    report = random_line_oracle(poly, trials, seed)
+    assert report.count == gap_line_maximum(poly, trials, seed)
+    assert report.count <= max_line_multiplicity(poly).count
+    assert report.count == line_multiplicity(report.witness, poly).count
+    return report
+
+
+def chain_polyline(chain: tuple[list[int], list[int]]) -> Polyline:
+    """A `chains()` chain as a polyline on the grid of denominator 1, its
+    repeated points dropped; closed when it ends where it starts."""
+    pts = list(zip(*chain))
+    verts = [v for i, v in enumerate(pts) if i == 0 or v != pts[i - 1]]
+    closed = len(verts) > 3 and verts[0] == verts[-1]
+    if closed:
+        verts.pop()
+    assume(len(verts) >= 2)
+    return Polyline.from_grid(1, *zip(*verts), closed=closed)
 
 
 class TestOracleScreen:
-    """The oracle's lines and counts, read from the crossing table, against
-    Python-int crossing counts, and its replays against `_gap_count`."""
+    """The oracle's count against the Python-int maximum over every gap line
+    of its drawn normals, and its witness against its exact count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chains(), st.integers(1, 12), st.integers(0, 2**16))
+    def test_gap_line_maximum(self, chain, trials, seed):
+        # the chains' scales run the int64 and the Python-int tables
+        assert_oracle_is_gap_line_maximum(chain_polyline(chain), trials, seed)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_builder_curves(self, r):
         curve = build_curve(SQUARE, ConstructionParams(r=r, eps=0.1 * r, m=64, seed=7)).curve
-        oracle_lines_are_exact(curve, 600, seed=r)
+        assert_oracle_is_gap_line_maximum(curve, 30, seed=r)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_rings_and_grid_polylines(self, seed):
@@ -508,51 +533,57 @@ class TestOracleScreen:
             random_convex_polygon(rng, 9).as_polyline(),
             grid_polyline(rng, 4, 10, closed=bool(seed % 2)),
         ):
-            oracle_lines_are_exact(poly, 1500, seed)
+            assert_oracle_is_gap_line_maximum(poly, 300, seed)
+
+    def test_no_drawn_normal_has_a_gap(self):
+        # one draw picks the normal (-1709, 3723), and the segment along
+        # (-3723, -1709) projects to one value on it: no gap, so the answer
+        # is a line of count 0 that misses the curve
+        assert drawn_normals(1, 0) == [(-1709, 3723)]
+        segment = Polyline.from_grid(1, [0, -3723], [0, -1709])
+        report = random_line_oracle(segment, 1, 0)
+        assert report.count == 0 and report.components == ()
+        assert line_multiplicity(report.witness, segment).count == 0
 
     def test_int64_bound(self, monkeypatch):
         # grid ints at the bound stay in int64; one past it, the same
-        # table runs on Python ints, over several slices of normals
-        monkeypatch.setattr(stabbing, "_TABLE_ENTRIES", 40)
-        bound = stabbing._ORACLE_BOUND
-        for x, dtype in ((bound, np.int64), (bound + 1, object)):
-            poly = zigzag(x, 9)
-            assert stabbing._oracle_lines(poly, 5, 0)[1].dtype == dtype
-            assert oracle_lines_are_exact(poly, 400, 3).max() == 8
-            assert random_line_oracle(poly, 400, 3).count == 8
-        # with no entry budget, the extent 2·bound alone slices the table: a
-        # span reaches about 2^60, so 8 rows stack below 2^63
-        monkeypatch.setattr(stabbing, "_TABLE_ENTRIES", 1 << 40)
-        rows = []
+        # table runs on Python ints; slices of 40 entries give the count of
+        # one slice, also when the only normals that cross all 8 edges, 2
+        # near (0, 4096) for the flat zigzag, lie in a middle slice
+        dtypes = []
         table = stabbing._crossing_table
 
         def recording(xs, ys, a, b):
-            rows.append(len(a))
+            dtypes.append(xs.dtype)
             return table(xs, ys, a, b)
 
         monkeypatch.setattr(stabbing, "_crossing_table", recording)
-        assert 2**63 // (stabbing._ORACLE_REACH * 2 * bound + 1) == 8
-        assert oracle_lines_are_exact(zigzag(bound, 9), 400, 3).max() == 8
-        assert len(rows) > 1 and max(rows) == 8
+        bound = stabbing._ORACLE_BOUND
+        flat = Polyline.from_grid(
+            1, [30 * k for k in range(9)], [1 if k % 2 else -1 for k in range(9)]
+        )
+        for poly, dtype in ((zigzag(bound, 9), np.int64), (zigzag(bound + 1, 9), object),
+                            (flat, np.int64)):
+            counts = []
+            for entries in (40, 1 << 40):
+                monkeypatch.setattr(stabbing, "_TABLE_ENTRIES", entries)
+                dtypes.clear()
+                counts.append(random_line_oracle(poly, 400, 3).count)
+                assert set(dtypes) == {np.dtype(dtype)} and (len(dtypes) > 1) == (entries == 40)
+            assert counts[0] == counts[1] == gap_line_maximum(poly, 400, 3) == 8
 
     @pytest.mark.parametrize("seed", range(3))
     def test_replays_are_exact(self, seed):
-        # the reported count is the exact count of its witness line, and no
-        # line whose table count exceeds it has an exact count above it
+        # on a retraced loop the table counts over-count, yet the reported
+        # count is its witness's exact count and no gap line's is higher
         rng = np.random.default_rng([47, seed])
         loop = random_star_ring(rng, SQUARE, n_vertices=10)
         retraced = Polyline(loop.vertices + loop.vertices[:1] + loop.vertices[1:6])
         for poly in (retraced, grid_polyline(rng, 4, 14, closed=False)):
-            report = random_line_oracle(poly, 800, seed)
-            lines, counts = oracle_rows(poly, 800, seed)
-            witness = report.witness
-            coefs = [int(v) for v in (witness.nx, witness.ny, witness.c * poly.grid[0])]
-            assert tuple(coefs) in lines
+            report = assert_oracle_is_gap_line_maximum(poly, 800, seed)
+            coefs = [int(v) for v in (report.witness.nx, report.witness.ny,
+                                      report.witness.c * poly.grid[0])]
             assert report.count == stabbing._gap_count(poly, coefs)
-            assert report.count == line_multiplicity(witness, poly).count
-            exact = [stabbing._gap_count(poly, line) for line in lines]
-            assert all(e <= c for e, c in zip(exact, counts.tolist()))
-            assert max(exact) == report.count
 
 
 class TestFloatFilter:
