@@ -122,7 +122,10 @@ def line_to_dict(line: Line) -> dict:
 
 
 def line_from_dict(doc: dict) -> Line:
-    return Line(Fraction(doc["nx"]), Fraction(doc["ny"]), Fraction(doc["c"]))
+    try:
+        return Line(Fraction(doc["nx"]), Fraction(doc["ny"]), Fraction(doc["c"]))
+    except OverflowError as exc:
+        raise ParseError(f"line coefficients must be finite: {exc}") from exc
 
 
 def multiplicity_report_to_dict(report: MultiplicityReport) -> dict:

@@ -75,6 +75,8 @@ def load_scene(path: str | Path) -> SceneDocument:
             (float(a["at"][0]), float(a["at"][1]), str(a["text"]))
             for a in doc.get("annotations", [])
         ]
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y, _ in annotations):
+            raise ParseError("annotation coordinates must be finite")
     except KonvexError:
         raise
     except json.JSONDecodeError as exc:

@@ -288,9 +288,11 @@ class TestCli:
             {"body": "square.txt", "curves": [{"label": "no file"}]},
             [{"body": "square.txt"}],
             {"body": "square.txt", "lines": [{"nx": "abc", "ny": "0", "c": "0"}]},
+            {"body": "square.txt", "lines": [{"nx": 0, "ny": 0, "c": float("inf")}]},
+            {"body": "square.txt", "annotations": [{"at": [float("nan"), 0], "text": "x"}]},
         ],
         ids=["missing-scene", "missing-body", "curve-without-file", "top-level-list",
-             "bad-line-coefficient"],
+             "bad-line-coefficient", "infinite-line-coefficient", "non-finite-annotation"],
     )
     def test_malformed_scene_exit_1(self, tmp_path, square_file, capsys, scene):
         scene_path = tmp_path / "scene.json"
