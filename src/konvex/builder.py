@@ -12,10 +12,12 @@ line meeting the bow twice is nearly parallel to the chord and therefore
 passes through the innermost loop's opening, trading one loop crossing
 for the two arc crossings: 2n + 1 = r total.
 
-None of this is trusted: every result is re-verified by the exact
-maximum over all lines (`max_line_multiplicity`, a rotational sweep)
-before being returned, and construction parameters are re-tuned and
-re-jittered on failure up to max_retries.
+None of this is trusted: every result's multiplicity is certified as the
+exact maximum over all lines by the paper's own argument, checked on grid
+ints (`_certify`: 2 per strictly convex loop run, at odd r the exact sweep
+of the innermost loop and the tail, met by one exact gap line), and by the
+whole-curve sweep where that bound does not close.  Construction parameters
+are re-tuned and re-jittered on failure up to max_retries.
 
 Samples, rings, runs, junctions and the odd tail are int pairs on the 1e-9
 snap grid, X = round(x·GRID), the value `random_shapes.snap` makes.  Every
@@ -36,13 +38,13 @@ import numpy as np
 
 from .errors import ConstructionError, DegeneracyError, PreconditionError
 from .geometry import (
-    COLLINEAR,
     INTERIOR,
     RIGHT,
     ConvexPolygon,
     Polyline,
     _centroid,
     _classify,
+    _convex_run,
     _float_length,
     _hull_indices,
     _inside,
@@ -53,7 +55,16 @@ from .geometry import (
     s_bound,
 )
 from .random_shapes import GRID
-from .stabbing import MultiplicityReport, max_line_multiplicity
+from .stabbing import (
+    METHOD_RUNS,
+    METHOD_SWEEP,
+    MultiplicityReport,
+    _gap_replay,
+    _sweep_best,
+    _witness,
+    _witness_gaps,
+    max_line_multiplicity,
+)
 
 _MIN_SAMPLES = 8
 _INSET_FLOOR = 1e-7
@@ -329,16 +340,6 @@ def _bowed_arc(
     return pts
 
 
-def _no_three_collinear(xs: Sequence[int], ys: Sequence[int]) -> bool:
-    n = len(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if _turn(xs, ys, i, j, k) == COLLINEAR:
-                    return False
-    return True
-
-
 def _chain_loops(
     body: ConvexPolygon,
     params: ConstructionParams,
@@ -406,12 +407,16 @@ def _chain_loops(
     return rings, opens, starts
 
 
-def _assemble(opens: list[list[GridPoint]]) -> list[GridPoint]:
+def _assemble(opens: list[list[GridPoint]]) -> tuple[list[GridPoint], list[int]]:
+    """The runs joined at their shared junctions, and the index where each
+    run starts, then where the last one ends: run j is bounds[j]..bounds[j + 1]."""
     verts = list(opens[0])
+    bounds = [0, len(verts) - 1]
     for run in opens[1:]:
         assert run[0] == verts[-1]
         verts.extend(run[1:])
-    return verts
+        bounds.append(len(verts) - 1)
+    return verts, bounds
 
 
 def _gap_anchor(body: ConvexPolygon) -> tuple[int, tuple[float, float]]:
@@ -435,8 +440,10 @@ def _farthest_vertex(ring: list[GridPoint], origin: GridPoint) -> GridPoint:
 
 def _check_arc(inner: list[GridPoint], arc: list[GridPoint], triangle_apex: GridPoint) -> None:
     """Interior arc vertices must sit strictly inside the inner ring and
-    strictly inside the triangle (apex, far end, stop); no 3 collinear.
-    Decided on the grid ints of the ring, the arc and its apex."""
+    strictly inside the triangle (apex, far end, stop), and the arc with its
+    chord must be strictly convex (`_convex_run`), so no 3 of its vertices
+    are collinear.  Decided on the grid ints of the ring, the arc and its
+    apex."""
     xs, ys = (list(c) for c in zip(*arc, triangle_apex))
     # the ring, with one free slot at the end for the vertex to classify
     ring_x, ring_y = (list(c) + [0] for c in zip(*inner))
@@ -451,8 +458,8 @@ def _check_arc(inner: list[GridPoint], arc: list[GridPoint], triangle_apex: Grid
             and _turn(xs, ys, t, a, p) == _turn(xs, ys, t, a, b)
         ):
             raise DegeneracyError("arc leaves its guard triangle")
-    if not _no_three_collinear(xs[:t], ys[:t]):
-        raise DegeneracyError("arc has collinear vertices")
+    if not _convex_run(xs, ys, a, b):
+        raise DegeneracyError("arc is not strictly convex")
 
 
 def _odd_tail(
@@ -467,6 +474,38 @@ def _odd_tail(
     arc = _bowed_arc(stop, far, start_vertex, bow, max(16, m // 8))
     _check_arc(inner, arc, start_vertex)
     return arc[1:]
+
+
+def _certify(curve: Polyline, bounds: list[int], r: int) -> MultiplicityReport:
+    """The curve's maximum multiplicity over all lines, an exact replay.
+
+    The curve's pieces are its loop runs (bounds[j]..bounds[j + 1], as
+    `_assemble` joined them) and, at odd r, the innermost run with the tail.
+    A run that `_convex_run` passes meets every line at most twice, and the
+    innermost run with the tail is swept exactly.  Each component of
+    line ∩ curve contains a component of line ∩ piece for some piece, so the
+    pieces' counts sum to a bound U on every line's count.  A gap line of
+    `_witness_gaps` whose exact count reaches U is then a maximum over all
+    lines.  At r = 3 that sub-polyline is the whole curve, and its sweep is
+    the answer.  Otherwise, when a run fails, U > r or no gap line reaches
+    U, the whole curve is swept."""
+    d, xs, ys = curve.grid
+    convex = len(bounds) - 1 - r % 2  # the runs bounded by 2 each
+    bound = 2 * convex
+    if all(_convex_run(xs, ys, bounds[j], bounds[j + 1]) for j in range(convex)):
+        if r % 2:
+            start = bounds[convex]
+            if start == 0:
+                return _witness(curve, _sweep_best([curve], math.inf)[0], METHOD_SWEEP)
+            inner = Polyline.from_grid(d, xs[start:], ys[start:])
+            bound += _sweep_best([inner], math.inf)[0][0]
+        if bound <= r:
+            fits, counts, sums = _witness_gaps([curve])
+            if fits and counts[0].max() >= bound:
+                found = _gap_replay(curve, counts[0], sums[0], bound)
+                if found[0] >= bound:
+                    return _witness(curve, found, METHOD_RUNS)
+    return max_line_multiplicity(curve)
 
 
 def build_curve(body: ConvexPolygon, params: ConstructionParams) -> ConstructionResult:
@@ -506,12 +545,13 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
                 if inset < _INSET_FLOOR:
                     break
                 continue
-            curve = Polyline.from_grid(GRID, *zip(*(_assemble(opens) + tail)))
+            verts, bounds = _assemble(opens)
+            curve = Polyline.from_grid(GRID, *zip(*(verts + tail)))
             length = polyline_length(curve)
             longest = max(longest, length)
             if length >= target - 0.9 * params.eps:
                 if _inside(curve, body):
-                    report = max_line_multiplicity(curve)
+                    report = _certify(curve, bounds, params.r)
                     if report.count <= params.r:
                         return ConstructionResult(curve, length, report, target, retry, params)
                     failing_report = report

@@ -11,6 +11,8 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -23,19 +25,32 @@ from .verifier import BoundReport, Prop1Result
 
 def fraction_to_str(value: Fraction) -> str:
     """Exact decimal string when the denominator is 2^a 5^b, else 'p/q'."""
-    den = value.denominator
+    return _ratio_to_str(value.numerator, value.denominator)
+
+
+def _ratio_to_str(num: int, den: int) -> str:
+    """`fraction_to_str` of num/den, in lowest terms with den > 0."""
+    digits = _decimal_digits(den)
+    if digits is None:
+        return f"{num}/{den}"
+    return _decimal_to_str(num * 10**digits // den, digits)
+
+
+def _decimal_digits(den: int) -> int | None:
+    """The least k with den dividing 10^k, or None when den has a prime
+    factor other than 2 and 5."""
     twos = fives = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
+    while den % 2 == 0:
+        den //= 2
         twos += 1
-    while rest % 5 == 0:
-        rest //= 5
+    while den % 5 == 0:
+        den //= 5
         fives += 1
-    if rest != 1:
-        return f"{value.numerator}/{den}"
-    digits = max(twos, fives)
-    scaled = value.numerator * 10**digits // den
+    return max(twos, fives) if den == 1 else None
+
+
+def _decimal_to_str(scaled: int, digits: int) -> str:
+    """The exact decimal scaled / 10^digits, its trailing zeros dropped."""
     if digits == 0:
         return str(scaled)
     sign = "-" if scaled < 0 else ""
@@ -49,6 +64,19 @@ def _parse_coordinate(token: str, line_no: int) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coordinate {token!r}", line_no) from exc
+
+
+# a plain decimal, read straight to ints: the digits and 10^(digits after the point)
+_DECIMAL = re.compile(r"[-+]?[0-9]+(\.[0-9]+)?")
+
+
+def _parse_ratio(token: str, line_no: int) -> tuple[int, int]:
+    """A coordinate token as an int pair (p, q), q > 0, with value p/q: a
+    plain decimal with no `Fraction` made, any other token by `Fraction`."""
+    if _DECIMAL.fullmatch(token):
+        whole, _, frac = token.partition(".")
+        return int(whole + frac), 10 ** len(frac)
+    return _parse_coordinate(token, line_no).as_integer_ratio()
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -77,16 +105,42 @@ def parse_polyline(text: str) -> Polyline:
     head_no, head = rows[0]
     if head not in ("open", "closed"):
         raise ParseError(f"expected header 'open' or 'closed', got {head!r}", head_no)
-    points = _parse_points(rows[1:])
+    ratios = []
+    for line_no, row in rows[1:]:
+        tokens = row.split()
+        if len(tokens) != 2:
+            raise ParseError(f"expected 'x y', got {row!r}", line_no)
+        ratios += [_parse_ratio(tokens[0], line_no), _parse_ratio(tokens[1], line_no)]
+    # the integer view over the lcm of the denominators; from_grid reduces it
+    den = math.lcm(*(q for _, q in ratios))
+    scaled = [p * (den // q) for p, q in ratios]
     try:
-        return Polyline(tuple(points), closed=(head == "closed"))
+        return Polyline.from_grid(den, scaled[0::2], scaled[1::2], closed=(head == "closed"))
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def serialize_polyline(poly: Polyline) -> str:
+    """Each coordinate X/D written from the integer view (D, X, Y) with the
+    bytes of `fraction_to_str`.  When D divides 10^k, every coordinate is
+    written with k digits, from which the trailing zeros drop: the decimal
+    of X/D in lowest terms."""
+    d, xs, ys = poly.grid
+    digits = _decimal_digits(d)
+    if digits is None:
+
+        def text(v: int) -> str:
+            g = math.gcd(v, d)
+            return _ratio_to_str(v // g, d // g)
+
+    else:
+        scale = 10**digits // d
+
+        def text(v: int) -> str:
+            return _decimal_to_str(v * scale, digits)
+
     lines = ["closed" if poly.closed else "open"]
-    lines += [f"{fraction_to_str(v.x)} {fraction_to_str(v.y)}" for v in poly.vertices]
+    lines += [f"{text(x)} {text(y)}" for x, y in zip(xs, ys)]
     return "\n".join(lines) + "\n"
 
 

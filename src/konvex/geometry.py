@@ -481,6 +481,31 @@ def _turns_both_ways(ring: Polyline) -> bool:
     return LEFT in turns and RIGHT in turns
 
 
+def _convex_run(xs: Sequence[int], ys: Sequence[int], i: int, k: int) -> bool:
+    """Whether the vertices i..k of an integer view, closed by the chord
+    k → i, bound a strictly convex polygon: every turn, the two at the
+    chord's ends included, strict and of one sign, and the edge directions
+    winding exactly once.  A line then meets the boundary in at most two
+    points or one edge, so it meets the open run i..k in at most two
+    components.
+
+    The winding is counted in ints against the half-line of direction
+    (1, 0): a direction is upper when dy > 0, or dy = 0 < dx, and lower
+    otherwise.  A strict turn is less than π, so it crosses that half-line
+    or its opposite at most once, and the run winds once exactly when its
+    directions change from lower to upper once round the polygon."""
+    if k - i < 2:
+        return False
+    dx = [xs[j + 1] - xs[j] for j in range(i, k)] + [xs[i] - xs[k]]
+    dy = [ys[j + 1] - ys[j] for j in range(i, k)] + [ys[i] - ys[k]]
+    # the turn at the start of edge j, from edge j - 1 (the chord for j = 0)
+    crosses = [dx[j - 1] * dy[j] - dy[j - 1] * dx[j] for j in range(len(dx))]
+    if not (all(c > 0 for c in crosses) or all(c < 0 for c in crosses)):
+        return False
+    upper = [y > 0 or (y == 0 and x > 0) for x, y in zip(dx, dy)]
+    return sum(up and not upper[j - 1] for j, up in enumerate(upper)) == 1
+
+
 def _inside(poly: Polyline, body: ConvexPolygon) -> bool:
     """Whether no vertex of the polyline lies outside the body, on the
     polyline's own integer view: the ring is scaled once per call."""

@@ -53,6 +53,14 @@ offsets.  The sweep and the oracle replay candidates exactly in descending
 score until no remaining score can beat the best exact count, so screening
 never changes a reported number.
 
+A report's method tag names the replay behind it: "direct" for
+`line_multiplicity` of a given line, "rotational_sweep" for the sweep's
+maximum, "oracle" for the best gap line of the oracle's drawn normals, and
+"convex_runs" for the builder's certificate: a gap line of the witness
+screen's normals (`_witness_gaps`, `_gap_replay`) whose exact count meets
+the bound of the curve's convex runs, so it too is a maximum over all
+lines.
+
 `find_stabbing_line` runs the same sweep and replay but stops at the first
 candidate whose exact count reaches r + 1, so the constructive direction of
 the theorem rests on the exact algorithm alone.  `projection_witness` is
@@ -107,10 +115,11 @@ from .geometry import (
 )
 from .projections import chord_term, segment_data
 
-# report provenance tags
+# report provenance tags (see the module docstring)
 METHOD_DIRECT = "direct"
 METHOD_ORACLE = "oracle"
 METHOD_SWEEP = "rotational_sweep"
+METHOD_RUNS = "convex_runs"
 
 # Coordinates are refused beyond 2^500 in absolute value: products of two
 # coordinate differences (below 2^1002) then stay finite in double precision.
@@ -833,18 +842,24 @@ def _witness_screen(polys: Sequence[Polyline], r: int) -> list[bool]:
     marked = [False] * len(polys)
     fits, counts, sums = _witness_gaps(polys)
     rows = np.flatnonzero(counts.max(axis=1, initial=0) > r)
-    # normals whose table count is at most r are never replayed
-    screened = np.where(counts > r, counts, 0)
     for row in rows.tolist():
-        poly = polys[fits[row]]
-
-        def replay(k: int) -> _Replay:
-            a, b = _WITNESS_NORMALS[k]
-            coefs = (2 * a, 2 * b, int(sums[row, k]))
-            return _gap_count(poly, coefs), coefs, 1
-
-        marked[fits[row]] = _replay_descending(screened[row], replay, None, r + 1)[0] > r
+        found = _gap_replay(polys[fits[row]], counts[row], sums[row], r + 1)
+        marked[fits[row]] = found[0] > r
     return marked
+
+
+def _gap_replay(poly: Polyline, counts: np.ndarray, sums: np.ndarray, enough: int) -> _Replay:
+    """The best exact replay (`_gap_count`) of one polyline's row of
+    `_witness_gaps`, its normals tried in descending table count until a
+    count reaches `enough`.  Normals whose table count is below `enough`
+    are never replayed, so the caller makes sure that some count reaches it."""
+
+    def replay(k: int) -> _Replay:
+        a, b = _WITNESS_NORMALS[k]
+        coefs = (2 * a, 2 * b, int(sums[k]))
+        return _gap_count(poly, coefs), coefs, 1
+
+    return _replay_descending(np.where(counts >= enough, counts, 0), replay, None, enough)
 
 
 def _exceeds(polys: Sequence[Polyline], r: int) -> list[bool]:

@@ -79,8 +79,8 @@ def test_criterion_2_crofton_identity():
 
 def test_criterion_3_lower_bound_realized():
     """Extremal curves for r in 2..6 at eps = 0.05 s: long enough, multiplicity
-    within budget by the exact rotational sweep, and a 1e5-trial oracle that
-    finds the same maximum."""
+    within budget by the builder's exact certificate, and a 1e5-trial oracle
+    that finds the same maximum."""
     start = time.time()
     targets = {2: 4.0, 3: 5.41421, 4: 8.0, 5: 9.41421, 6: 12.0}
     lines = []
@@ -91,7 +91,7 @@ def test_criterion_3_lower_bound_realized():
         params = ConstructionParams(r=r, eps=eps, m=160 if r >= 5 else 128, seed=1)
         result = build_curve(SQUARE, params)
         assert result.achieved_length >= s - eps
-        assert result.multiplicity.count <= r  # exact over all lines (in-builder sweep)
+        assert result.multiplicity.count <= r  # exact over all lines (in-builder certificate)
         oracle = random_line_oracle(result.curve, trials=100_000, seed=1000 + r)
         assert oracle.count == result.multiplicity.count
         lines.append(f"r={r}: {result.achieved_length:.4f}>={s - eps:.4f} mult={result.multiplicity.count}")

@@ -1,13 +1,15 @@
 import hashlib
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from konvex import builder, stabbing
 from konvex.builder import (
     _GAP,
     ConstructionParams,
@@ -38,13 +40,20 @@ from konvex.geometry import (
     polyline_length,
 )
 from konvex.random_shapes import GRID, random_convex_polygon
-from konvex.stabbing import line_multiplicity, random_line_oracle
+from konvex.stabbing import (
+    METHOD_RUNS,
+    METHOD_SWEEP,
+    line_multiplicity,
+    max_line_multiplicity,
+    random_line_oracle,
+)
 from konvex.verifier import s_bound
 
 SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 TRIANGLE = ConvexPolygon((Point(0, 0), Point(3, 0), Point(1, 2)))
 # the square's ring as grid points, X = x·GRID
 SQUARE_GRID = [(0, 0), (GRID, 0), (GRID, GRID), (0, GRID)]
+GON40 = random_convex_polygon(np.random.default_rng(40), 40)
 
 
 def assert_strictly_convex_ring(poly):
@@ -162,9 +171,6 @@ class TestGridHull:
         assert _grid_hull(cloud) == [(int(p.x * GRID), int(p.y * GRID)) for p in ring]
 
 
-GON40 = random_convex_polygon(np.random.default_rng(40), 40)
-
-
 @pytest.mark.parametrize("body, r", [(SQUARE, 2), (SQUARE, 3), (SQUARE, 5), (GON40, 3)],
                          ids=["square-r2", "square-r3", "square-r5", "gon40-r3"])
 def test_rings_tail_and_containment_make_no_fraction(monkeypatch, body, r):
@@ -180,7 +186,7 @@ def test_rings_tail_and_containment_make_no_fraction(monkeypatch, body, r):
             body, params, rng, inset, _GAP, params.n_loops, anchor_idx, anchor_dir
         )
         tail = _odd_tail(rings[-1], opens[-1][-1], starts[-1], params.m) if r % 2 else []
-        curve = Polyline.from_grid(GRID, *zip(*(_assemble(opens) + tail)))
+        curve = Polyline.from_grid(GRID, *zip(*(_assemble(opens)[0] + tail)))
         return curve, _inside(curve, body)
 
     def refuse(*args, **kwargs):
@@ -282,7 +288,8 @@ class TestPinnedOutput:
     """sha256 of serialize_polyline(curve) and of to_json(result) at
     eps = 0.05 s, m = 96, seed 7.  The curve digest shows any change to the
     construction's arithmetic or its random stream; the sidecar digest also
-    covers the verifier's witness line, method tag and components."""
+    covers the certificate's witness line, method tag and components: at
+    r = 3 the sweep's, at r = 2, 4 and 5 a convex-run gap line's."""
 
     @pytest.mark.parametrize(
         "body, r, curve_digest, sidecar_digest",
@@ -291,7 +298,7 @@ class TestPinnedOutput:
                 SQUARE,
                 2,
                 "59de4e3123d72e24a97ef2baba915d4bd710888269dba41ae4597894006c2732",
-                "48a0649730dc166cc47747e96d6dafbdf1c7182218240327ccc9b5c4a5a0b1e5",
+                "a26b6a3e31ba5c2820dd11a88ba5797166b85d71cd444a22f37894cb772bd40a",
             ),
             (
                 SQUARE,
@@ -303,13 +310,13 @@ class TestPinnedOutput:
                 SQUARE,
                 4,
                 "d8e40ec62ef0d2433c8103ab5c5c8d47731d56aba90ae4df39680f3fd5ea7d85",
-                "9f02a3c58f76619c55cd3e09dcf16f14743f93f8ea322bcec9c6302b27ca3bc9",
+                "0223c98ff245ea0eaa13ee57e5e24c2e08a4208bcaab962221de1e83fd30f2be",
             ),
             (
                 SQUARE,
                 5,
                 "c454c2150a5ccfca414bd435887e56207aff10c02ac75f95b6a28cfda43c083b",
-                "0f7ad40a2c942f39b6881bc77b05a8c3c9cd8db55a21e0d875cbce9eb182a6e8",
+                "708e80c29e749192dbe3e269b37f3e5adeb317435e2c92769f482c320182c21e",
             ),
             (
                 TRIANGLE,
@@ -324,6 +331,90 @@ class TestPinnedOutput:
         params = ConstructionParams(r=r, eps=0.05 * s_bound(body, r), m=96, seed=7)
         result = build_curve(body, params)
         assert hashlib.sha256(serialize_polyline(result.curve).encode()).hexdigest() == curve_digest
+        assert hashlib.sha256(to_json(result).encode()).hexdigest() == sidecar_digest
+
+
+def pinned_build(body, r, m=96, seed=7):
+    """A build at eps = 0.05 s, as TestPinnedOutput, criterion 3 and the
+    benchmark's construct workload make them."""
+    return build_curve(body, ConstructionParams(r=r, eps=0.05 * s_bound(body, r), m=m, seed=seed))
+
+
+class TestCertificate:
+    """The builder's bound (2 per convex loop run, plus at odd r the exact
+    sweep of the innermost loop and the tail) met by one exact gap line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["square", "triangle", "gon40"]),
+        st.integers(2, 7),
+        st.sampled_from([16, 24, 32, 48]),
+        st.sampled_from([0.05, 0.08, 0.12]),
+        st.integers(0, 10**6),
+    )
+    def test_count_is_the_sweeps(self, name, r, m, share, seed):
+        body = {"square": SQUARE, "triangle": TRIANGLE, "gon40": GON40}[name]
+        params = ConstructionParams(r=r, eps=share * s_bound(body, r), m=m, seed=seed, max_retries=4)
+        try:
+            result = build_curve(body, params)
+        except ConstructionError:
+            assume(False)
+        report = result.multiplicity
+        assert report.count == max_line_multiplicity(result.curve).count <= r
+        assert line_multiplicity(report.witness, result.curve).count == report.count
+
+    def test_no_pinned_acceptance_or_workload_curve_sweeps_the_whole_curve(self, monkeypatch):
+        def refuse(curve):
+            raise AssertionError("the whole curve was swept")
+
+        bounds = []
+
+        def record(poly, counts, sums, enough):
+            bounds.append(enough)
+            return replay(poly, counts, sums, enough)
+
+        replay = builder._gap_replay
+        monkeypatch.setattr(builder, "max_line_multiplicity", refuse)
+        monkeypatch.setattr(builder, "_gap_replay", record)
+        builds = [(SQUARE, r, 96, 7) for r in (2, 3, 4, 5)] + [(TRIANGLE, 3, 96, 7)]  # pinned
+        builds += [(SQUARE, r, 160 if r >= 5 else 128, 1) for r in (2, 3, 4, 5, 6)]  # criterion 3
+        for seed in (1, 2):  # the construct workload at benchmark seeds 0 and 1
+            builds += [(SQUARE, r, 96 if r >= 5 else 128, seed) for r in (2, 3, 4, 5, 6)]
+            builds.append((GON40, 3, 128, seed))
+        methods = Counter(pinned_build(*build).multiplicity.method for build in builds)
+        assert methods == {METHOD_RUNS: 15, METHOD_SWEEP: 7}
+        # the bound U the gap line meets is r itself on each of them
+        assert bounds == [r for _, r, _, _ in builds if r != 3]
+
+    def test_even_curves_beyond_the_sweeps_budget(self):
+        # the sweep refuses curves of more than 8192 vertices; the convex
+        # runs and their gap line certify one without it
+        result = pinned_build(SQUARE, 6, m=4096, seed=1)
+        assert len(result.curve) > stabbing._VERTEX_BUDGET
+        assert (result.multiplicity.method, result.multiplicity.count) == (METHOD_RUNS, 6)
+        assert line_multiplicity(result.multiplicity.witness, result.curve).count == 6
+
+    @pytest.mark.parametrize(
+        "r, forced, sidecar_digest",
+        [
+            (2, "run refused", "48a0649730dc166cc47747e96d6dafbdf1c7182218240327ccc9b5c4a5a0b1e5"),
+            (4, "gap line short", "9f02a3c58f76619c55cd3e09dcf16f14743f93f8ea322bcec9c6302b27ca3bc9"),
+            (5, "beyond the screen", "0f7ad40a2c942f39b6881bc77b05a8c3c9cd8db55a21e0d875cbce9eb182a6e8"),
+        ],
+    )
+    def test_fallback_is_the_sweeps_report(self, monkeypatch, r, forced, sidecar_digest):
+        # the sidecars these builds wrote when the whole curve was always swept
+        if forced == "run refused":
+            monkeypatch.setattr(builder, "_convex_run", lambda xs, ys, i, k: False)
+        elif forced == "gap line short":
+            replay = builder._gap_replay
+            monkeypatch.setattr(
+                builder, "_gap_replay", lambda *args: (0,) + replay(*args)[1:]
+            )
+        else:
+            monkeypatch.setattr(stabbing, "_WITNESS_BOUND", 0)
+        result = pinned_build(SQUARE, r)
+        assert result.multiplicity == max_line_multiplicity(result.curve)
         assert hashlib.sha256(to_json(result).encode()).hexdigest() == sidecar_digest
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from konvex.errors import ParseError
+from konvex.errors import ParseError, PreconditionError
 from konvex.formats import (
     fraction_to_str,
     line_from_dict,
@@ -81,6 +81,98 @@ class TestPolylineFormat:
     def test_wrong_token_count(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_polyline("open\n0 0 0\n1 1\n")
+
+
+def fraction_parse_polyline(text: str) -> Polyline:
+    """`parse_polyline` with every coordinate read by `Fraction` into a
+    `Point`, as it was before it read plain decimals straight to ints."""
+    rows = [(no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1)]
+    rows = [(no, row) for no, row in rows if row]
+    head_no, head = rows[0]
+    assert head in ("open", "closed")
+    points = []
+    for line_no, row in rows[1:]:
+        tokens = row.split()
+        if len(tokens) != 2:
+            raise ParseError(f"expected 'x y', got {row!r}", line_no)
+        coords = []
+        for token in tokens:
+            try:
+                coords.append(Fraction(token))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad coordinate {token!r}", line_no) from None
+        points.append(Point(*coords))
+    try:
+        return Polyline(tuple(points), closed=(head == "closed"))
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+# tokens `Fraction` reads or refuses, a few of each kind, and plain decimals
+odd_tokens = st.sampled_from([
+    "-0", "+0", "0.0", "-0.000", ".5", "-.5", "5.", "1e3", "1E-9", "1_0", "1_000.5",
+    "+7", "007.250", "3/7", "-22/7", "1/0", "0/5", "nan", "inf", "0x10", "1.2.3",
+    "--1", "1,5", "\u0661\u0662", "\u0661.5", "1/2.5", "abc", ".", "-", "+", "-.", "+.",
+])
+plain_decimals = st.from_regex(r"[-+]?[0-9]{1,12}(\.[0-9]{1,12})?", fullmatch=True)
+coordinate_tokens = st.one_of(odd_tokens, plain_decimals, st.integers(-3, 3).map(str))
+
+
+class TestGridParse:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(["open", "closed"]),
+        st.lists(st.tuples(coordinate_tokens, coordinate_tokens), min_size=0, max_size=6),
+        st.data(),
+    )
+    def test_same_polyline_and_errors_as_the_fraction_parse(self, head, rows, data):
+        if rows and data.draw(st.booleans()):  # repeat a row: a repeated vertex
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
+        text = "\n".join([head] + [f"{x} {y}" for x, y in rows]) + "\n"
+        try:
+            expected = fraction_parse_polyline(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_polyline(text)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+            return
+        poly = parse_polyline(text)
+        assert poly == expected and poly.closed == expected.closed and poly.grid == expected.grid
+        assert serialize_polyline(poly) == serialize_polyline(expected)
+        assert serialize_polyline(poly) == fraction_serialize_polyline(expected)
+
+    def test_plain_decimals_make_no_fraction(self, monkeypatch):
+        text = "open\n-0 0.5\n0.125 -3\n+2.50 1\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was made")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        poly = parse_polyline(text)
+        out = serialize_polyline(poly)
+        monkeypatch.undo()
+        assert poly.grid == (8, (0, 1, 20), (4, -24, 8))
+        assert out == "open\n0 0.5\n0.125 -3\n2.5 1\n"
+
+
+    @pytest.mark.parametrize(
+        "den, xs, ys, text",
+        [
+            (30, (3, 1, 0), (30, -45, 10), "0.1 1\n1/30 -1.5\n0 1/3\n"),
+            (8, (-1, 0, 16), (4, -24, 1), "-0.125 0.5\n0 -3\n2 0.125\n"),
+            (10**9, (10**9, -5, 7), (0, 2 * 10**8, -(10**12)), "1 0\n-0.000000005 0.2\n0.000000007 -1000\n"),
+        ],
+    )
+    def test_serialize_from_the_grid(self, den, xs, ys, text):
+        poly = Polyline.from_grid(den, xs, ys)
+        assert serialize_polyline(poly) == "open\n" + text == fraction_serialize_polyline(poly)
+
+
+def fraction_serialize_polyline(poly: Polyline) -> str:
+    """`serialize_polyline` through each vertex's `Fraction` coordinates."""
+    lines = ["closed" if poly.closed else "open"]
+    lines += [f"{fraction_to_str(v.x)} {fraction_to_str(v.y)}" for v in poly.vertices]
+    return "\n".join(lines) + "\n"
 
 
 class TestPolygonFormat:

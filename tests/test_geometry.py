@@ -17,6 +17,7 @@ from konvex.geometry import (
     Line,
     Point,
     Polyline,
+    _convex_run,
     contains,
     convex_hull,
     diameter,
@@ -204,6 +205,81 @@ class TestConvexPolygon:
     def test_rejects_clockwise(self):
         with pytest.raises(PreconditionError):
             ConvexPolygon((Point(0, 0), Point(0, 1), Point(1, 1), Point(1, 0)))
+
+
+def run_view(points, pad=0):
+    """The integer view of a run, behind `pad` unrelated vertices and
+    before one more, and the run's first and last index in it."""
+    xs = [7] * pad + [x for x, _ in points] + [-9]
+    ys = [-3] * pad + [y for _, y in points] + [11]
+    return xs, ys, pad, pad + len(points) - 1
+
+
+class TestConvexRun:
+    """A run i..k closed by its chord must turn strictly one way at every
+    vertex, the chord's two ends included, and wind once."""
+
+    @pytest.mark.parametrize("pad", [0, 3])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (4, 0), (4, 4)],
+            [(0, 0), (4, 0), (5, 2), (4, 4), (0, 4)],
+            [(0, 4), (4, 4), (5, 2), (4, 0), (0, 0)],  # clockwise
+            [(10**30, 0), (0, 10**30), (-(10**30), 1)],
+        ],
+    )
+    def test_convex_runs_pass(self, points, pad):
+        assert _convex_run(*run_view(points, pad))
+
+    @pytest.mark.parametrize("pad", [0, 3])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            pytest.param([(0, 0), (4, 0), (2, 1), (4, 4), (0, 4)], id="reflex vertex"),
+            pytest.param([(0, 0), (1, 0), (2, 0), (2, 2)], id="collinear triple"),
+            pytest.param([(0, 0), (4, 0), (0, 0), (0, 4)], id="retraced edge"),
+            pytest.param([(0, 0), (4, 0), (4, 4), (2, 1)], id="chord end turns wrong"),
+            pytest.param([(0, 0), (4, 0), (4, 4), (0, 0)], id="chord of length 0"),
+            pytest.param([(0, 0), (4, 0)], id="a segment"),
+            pytest.param(
+                [(0, 10), (6, -8), (-10, 3), (10, 3), (-6, -8)], id="pentagram winds twice"
+            ),
+        ],
+    )
+    def test_refused(self, points, pad):
+        assert not _convex_run(*run_view(points, pad))
+
+    def test_only_the_chord_end_or_the_winding_fails(self):
+        # the interior turns of these two refused runs are strict and of
+        # one sign: the chord end's turn and the winding are what refuse them
+        for points, sign in (([(0, 0), (4, 0), (4, 4), (2, 1)], LEFT),
+                             ([(0, 10), (6, -8), (-10, 3), (10, 3), (-6, -8)], RIGHT)):
+            inner = {orientation(*(Point(*points[j]) for j in (v - 1, v, v + 1)))
+                     for v in range(1, len(points) - 1)}
+            assert inner == {sign}
+        star = [(0, 10), (6, -8), (-10, 3), (10, 3), (-6, -8)]
+        n = len(star)
+        closed = {orientation(*(Point(*star[(v + t) % n]) for t in (-1, 0, 1))) for v in range(n)}
+        assert closed == {RIGHT}  # one sign all round, the chord's ends included
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 40), st.integers(1, 3), st.booleans(), st.integers(0, 10**6))
+    def test_regular_star_polygons(self, n, turns, clockwise, seed):
+        # the star polygon {n/turns} on a large circle, snapped to ints:
+        # it turns one way strictly and winds `turns` times when 2·turns < n
+        if 2 * turns >= n or math.gcd(n, turns) != 1:
+            return
+        radius = 10**12
+        start = seed % n
+        points = [
+            (round(radius * math.cos(2 * math.pi * turns * j / n)),
+             round(radius * math.sin(2 * math.pi * turns * j / n)))
+            for j in range(start, start + n)
+        ]
+        if clockwise:
+            points.reverse()
+        assert _convex_run(*run_view(points, seed % 3)) == (turns == 1)
 
 
 class TestDiameter:

@@ -1,6 +1,6 @@
 """The sign predicates on integer views: `contains`, `ConvexPolygon`
 validation, `_turns_both_ways`, `_require_simple` and the builder's
-collinearity check against their `Fraction` references, the sweep's float
+convex-run check against their `Fraction` references, the sweep's float
 view against `Point.xy`, and a guard that none of them, nor the sweep's
 scoring or the oracle's screen, does `Fraction` arithmetic."""
 
@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from konvex import stabbing
-from konvex.builder import _no_three_collinear
 from konvex.errors import DegeneracyError, NotSimpleError, PreconditionError
 from konvex.geometry import (
     BOUNDARY,
@@ -23,6 +22,7 @@ from konvex.geometry import (
     ConvexPolygon,
     Point,
     Polyline,
+    _convex_run,
     _grid_of,
     _turns_both_ways,
     contains,
@@ -238,16 +238,34 @@ class TestConvexPolygon:
         turns = {fraction_orientation(pts[i], pts[(i + 1) % n], pts[(i + 2) % n]) for i in range(n)}
         assert _turns_both_ways(ring) == (LEFT in turns and RIGHT in turns)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(lattice, min_size=0, max_size=7), st.sampled_from(SCALES))
-    def test_no_three_collinear_matches_the_reference(self, raw, scale):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(lattice, min_size=0, max_size=7),
+        st.sampled_from(SCALES),
+        st.sampled_from(["raw", "hull", "reversed hull"]),
+        st.integers(0, 6),
+    )
+    def test_convex_run_matches_the_reference(self, raw, scale, order, turn):
+        # a run and its chord bound a strictly convex polygon exactly when
+        # every triple of its vertices, in run order, turns the same strict way
         pts = placed(raw, scale)
-        expected = all(
-            fraction_orientation(pts[i], pts[j], pts[k]) != 0
-            for i in range(len(pts)) for j in range(i + 1, len(pts)) for k in range(j + 1, len(pts))
-        )
+        if order != "raw":
+            try:
+                pts = list(convex_hull(pts).ring)
+            except DegeneracyError:
+                assume(False)
+            if order == "reversed hull":
+                pts.reverse()
+            pts = pts[turn % len(pts):] + pts[: turn % len(pts)]
+        n = len(pts)
+        turns = {
+            fraction_orientation(pts[i], pts[j], pts[k])
+            for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+        }
         _, xs, ys = _grid_of(pts)
-        assert _no_three_collinear(xs, ys) == expected
+        assert _convex_run(xs, ys, 0, n - 1) == (n >= 3 and turns in ({LEFT}, {RIGHT}))
+        if n >= 2:  # the same run inside a longer view
+            assert _convex_run((0,) + xs + (0,), (0,) + ys + (0,), 1, n) == _convex_run(xs, ys, 0, n - 1)
 
 
 class TestRequireSimple:
