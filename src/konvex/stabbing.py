@@ -40,18 +40,23 @@ is the polyline's own, X/D, an int true division with the same bits as
 orders directions by float angle and re-decides every pair of angles that
 its rounding-error band cannot separate with an int cross product of grid
 differences, so its intervals and scores are exact, and its witnesses are
-rational lines built from grid ints.  The oracle and the witness screen
-count crossings with one exact integer table (`_crossing_table`) of the
-grid ints' projections on integer normals, read at its gaps
-(`_gap_counts`): one sort of packed keys 8·projection + weight + 2 orders
-the projections and carries each vertex's edge weights into their prefix
-sums, and for consecutive distinct projections p < q the line
-2a·X + 2b·Y = p + q passes through no vertex, so its table count is exact.
-The oracle reads every gap of the normals, among 2048 fixed ones, that its
-seed draws: a deterministic family of lines, not a random sample of
-offsets.  The sweep and the oracle replay candidates exactly in descending
-score until no remaining score can beat the best exact count, so screening
-never changes a reported number.
+rational lines built from grid ints.  The witness screen and the
+builder's certificate count crossings with one exact integer table
+(`_crossing_table`) of the grid ints' projections on integer normals, read
+at its gaps (`_gap_counts`): one sort of packed keys
+8·projection + weight + 2 orders the projections and carries each vertex's
+edge weights into their prefix sums, and for consecutive distinct
+projections p < q the line 2a·X + 2b·Y = p + q passes through no vertex, so
+its table count is exact.  The oracle reads every gap of the normals, among
+2048 fixed ones, that its seed draws: a deterministic family of lines, not
+a random sample of offsets.  Its table (`_turning_table`) holds only the
+turning vertices, where the height a·X + b·Y along the curve has a local
+extremum, and the curve's ends: a vertex of weight 0 changes no prefix
+sum, so a gap between consecutive turning projections has the count of
+every gap of all vertices inside it, and its replay takes those gap lines.
+The sweep and the oracle replay candidates exactly in descending score
+until no remaining score can beat the best exact count, so screening never
+changes a reported number.
 
 A report's method tag names the replay behind it: "direct" for
 `line_multiplicity` of a given line, "rotational_sweep" for the sweep's
@@ -97,6 +102,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -136,7 +142,11 @@ _VERTEX_BUDGET = 1 << 13
 _SWEEP_ENTRIES = 1 << 18  # pivot-by-vertex entries per sweep chunk
 _BATCH_ENTRIES = 1 << 16  # padded pivot-by-vertex entries per batch of several curves
 _GENERIC_TRIES = 8  # open-cell witness shifts tried before giving up
-_TABLE_ENTRIES = 1 << 16  # normal-by-vertex entries per slice of the oracle's tables
+# normal-by-vertex entries per slice of the oracle's tables: a slice holds
+# _TABLE_ENTRIES // (chain vertices) normals, and only its turning vertices,
+# so it reaches this bound only when every vertex turns on every normal
+_TABLE_ENTRIES = 1 << 16
+_DRAW_CHUNK = 1 << 14  # uniform draws per chunk of the oracle's bucket draw
 # small primitive integer normals (a, b) of the witness screen in `_exceeds`,
 # about every π/16 over [0, π)
 _WITNESS_NORMALS = (
@@ -757,8 +767,10 @@ def _batches(polys: Sequence[Polyline]) -> Iterator[list[int]]:
 def _crossing_table(
     xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For open chains of grid ints (xs, ys), their vertices along the last
-    axis, and integer normals (a, b) broadcast against them: the
+    """The table of every vertex, which serves the witness screen and the
+    builder's certificate (the oracle tabulates turning vertices only,
+    `_turning_table`).  For open chains of grid ints (xs, ys), their vertices
+    along the last axis, and integer normals (a, b) broadcast against them: the
     projections a·X + b·Y sorted along that axis, and at each place the
     number of edges that a line a·X + b·Y = t crosses, for t between that
     projection and the next when they differ (0 at the last place).
@@ -902,40 +914,172 @@ def max_line_multiplicity(poly: Polyline) -> MultiplicityReport:
 # ---------------------------------------------------------------------------
 
 
+def _drawn_buckets(trials: int, seed: int) -> np.ndarray:
+    """The buckets j = ⌊2048·u⌋, ascending, of `trials` uniform draws u of
+    the seed's generator.  They are drawn in chunks of _DRAW_CHUNK, the same
+    stream as one draw of `trials`, and the draw stops once every bucket is
+    drawn, so its memory and time stay bounded at any trial count."""
+    rng = np.random.default_rng(seed)
+    seen = np.zeros(_ORACLE_BUCKETS, dtype=bool)
+    left = trials
+    while left > 0 and not seen.all():
+        size = min(left, _DRAW_CHUNK)
+        seen[(_ORACLE_BUCKETS * rng.random(size)).astype(np.int64)] = True
+        left -= size
+    return np.flatnonzero(seen)
+
+
+def _turning_ranges(
+    xs: np.ndarray, ys: np.ndarray, closed: bool, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the vertices of a polyline's grid ints (xs, ys) turn on the
+    integer normals (a, b), which lie in strict angular order within
+    (0, π): arrays (vertex, start, end, weight), one entry per range
+    start <= j < end of normals on which the vertex weighs `weight` != 0.
+
+    Vertex i weighs s_i(j) - s_{i-1}(j) (`_crossing_table`'s weight): edge
+    e rises by s_e(j) = sign(a_j·dX + b_j·dY), and a chain end lacks an
+    edge, which weighs 0.  A nonzero edge (dX, dY) is perpendicular to at
+    most one of the normals, and they sweep less than a half turn, so s_e
+    runs from -o to o as j ascends, o = -sign(dX) (o = 1 when dX = 0, where
+    s_e is sign(dY) throughout), and is 0 at no more than one j.  One
+    bisection over the normals, for all edges at once, finds z0 <= z1, the
+    first j at which o·s_e reaches 0 and passes it, so a vertex's weight is
+    constant between the at most four breakpoints of its two edges.  Exact
+    in the arrays' dtype: within ±_ORACLE_BOUND, a·dX + b·dY, a difference
+    of two projections, lies below 2^60."""
+    n, count = len(xs), len(a)
+    edges = n if closed else n - 1
+    head = np.arange(1, edges + 1) % n
+    dx, dy = xs[head] - xs[:edges], ys[head] - ys[:edges]
+    orient = np.where(dx > 0, -1, 1)
+    # first j with o·(a_j·dX + b_j·dY) + t > 0: z0 for t = 1, z1 for t = 0
+    ox, oy = np.tile(orient * dx, 2), np.tile(orient * dy, 2)
+    t = np.repeat([1, 0], edges)
+    first = np.zeros(2 * edges, dtype=np.int64)
+    step = 1 << (count.bit_length() - 1)
+    while step:
+        probe = np.minimum(first + step - 1, count - 1)
+        below = (first + step <= count) & ~(a[probe] * ox + b[probe] * oy + t > 0)
+        first += np.where(below, step, 0)
+        step >>= 1
+    # a last entry for the missing edge of a chain end: 0 on every normal
+    z0, z1 = np.append(first[:edges], 0), np.append(first[edges:], count)
+    orient = np.append(orient, 1)
+    out, into = np.arange(n), np.arange(n) - 1
+    if closed:
+        into[0] = n - 1
+    else:
+        out[-1] = into[0] = edges
+
+    def rise(edge: np.ndarray, j: np.ndarray) -> np.ndarray:
+        o = orient[edge]
+        return np.where(j < z0[edge], -o, np.where(j < z1[edge], 0, o))
+
+    cuts = np.sort(np.column_stack([
+        np.zeros(n, dtype=np.int64), z0[out], z1[out], z0[into], z1[into],
+        np.full(n, count),
+    ]), axis=1)
+    start, end = cuts[:, :-1], cuts[:, 1:]
+    weight = rise(out[:, None], start) - rise(into[:, None], start)
+    keep = (start < end) & (weight != 0)
+    vertex = np.broadcast_to(np.arange(n)[:, None], keep.shape)[keep]
+    return vertex, start[keep], end[keep], weight[keep]
+
+
+def _turning_table(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    ranges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The crossing table of the normals lo <= j < hi of (a, b) from the
+    polyline's turning vertices only (`_turning_ranges`): its entries
+    sorted by normal, then projection, as arrays (row j, projection a·X +
+    b·Y, count).  An entry's count is the number of edges that a line
+    a·X + b·Y = t crosses, for t between its projection and the next
+    entry's of the same row when they differ, and 0 elsewhere.
+
+    Vertices of weight 0 change no prefix sum, so the table has the same
+    counts as `_crossing_table`'s, read on coarser gaps: every gap between
+    two consecutive distinct projections of all vertices lies in one coarse
+    gap and has its count, and the gaps outside the turning projections
+    count 0.  The entries are packed as in `_crossing_table`, sorted by one
+    lexsort; every row's weights sum to 0, so one cumulative sum gives each
+    row's prefix sums."""
+    vertex, start, end, weight = ranges
+    start, end = np.maximum(start, lo), np.minimum(end, hi)
+    keep = start < end
+    size = (end - start)[keep]
+    rows = np.repeat(start[keep] - np.cumsum(size) + size, size) + np.arange(size.sum())
+    vertex = np.repeat(vertex[keep], size)
+    keys = 8 * (a[rows] * xs[vertex] + b[rows] * ys[vertex]) + np.repeat(weight[keep], size) + 2
+    order = np.lexsort((keys, rows))
+    rows, keys = rows[order], keys[order]
+    proj, crossed = keys >> 3, np.cumsum((keys & 7) - 2)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    gap = (rows[1:] == rows[:-1]) & (proj[1:] > proj[:-1])
+    counts[:-1] = np.where(gap, crossed[:-1], 0)
+    return rows, proj, counts
+
+
 def _oracle_best(poly: Polyline, trials: int, seed: int) -> _Replay:
     """The best exact replay over every gap line (`_gap_counts`) of the
-    normals _ORACLE_NORMALS[j] drawn by `trials` uniform buckets j, starting
-    from a line of count 0 beyond the first drawn normal's top projection:
-    the answer when no drawn normal has a gap.
+    normals _ORACLE_NORMALS[j] drawn by `trials` uniform buckets j
+    (`_drawn_buckets`), starting from a line of count 0 beyond the first
+    drawn normal's top projection: the answer when no drawn normal has a
+    gap.
 
-    Tables are built for the drawn normals only, in slices of at most
-    _TABLE_ENTRIES entries, in int64 while the grid ints lie within
-    ±_ORACLE_BOUND and in Python ints beyond.  Each slice is replayed in
-    descending table count (`_replay_descending`) while a count can still
-    beat the best exact one, which the table count bounds."""
-    # the drawn buckets, ascending: counting them sorts them
-    rng = np.random.default_rng(seed)
-    drawn = np.flatnonzero(np.bincount((_ORACLE_BUCKETS * rng.random(trials)).astype(np.int64)))
+    The tables hold the turning vertices only (`_turning_table`), for the
+    drawn normals in slices of _TABLE_ENTRIES // (chain vertices) normals,
+    in int64 while the grid ints lie within ±_ORACLE_BOUND and in Python
+    ints beyond.  Each slice is replayed in descending table count
+    (`_replay_descending`) while a count can still beat the best exact one,
+    which the table count bounds.  A coarse gap p < q of the table holds
+    the gaps between the row's distinct vertex projections u_k, p <= u_k <
+    q, all of its count: its replay takes their lines 2a·X + 2b·Y =
+    u_k + u_{k+1} in ascending order until an exact count reaches the
+    table count, the same replays, in the same order, as a table of every
+    vertex."""
+    drawn = _drawn_buckets(trials, seed)
     _, xs, ys = poly.grid
     dtype = object if max(map(abs, xs + ys)) > _ORACLE_BOUND else np.int64
-    # a closed curve repeats its first vertex, which closes it
-    chain = np.array([xs + xs[: poly.closed], ys + ys[: poly.closed]], dtype=dtype)
-    a0, b0 = _ORACLE_NORMALS[drawn[0]].tolist()
+    normals = _ORACLE_NORMALS[drawn]
+    a, b = normals.T.astype(dtype)
+    gx, gy = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+    ranges = _turning_ranges(gx, gy, poly.closed, a, b)
+    a0, b0 = normals[0].tolist()
     top = max(a0 * x + b0 * y for x, y in zip(xs, ys))
     best: _Replay = 0, (2 * a0, 2 * b0, 2 * top + 1), 1
-    step = max(1, _TABLE_ENTRIES // chain.shape[1])
+    distinct: dict[int, list[int]] = {}  # each replayed row's distinct projections, ascending
+    step = max(1, _TABLE_ENTRIES // (len(xs) + poly.closed))
     for lo in range(0, len(drawn), step):
-        normals = _ORACLE_NORMALS[drawn[lo : lo + step]]
-        a, b = normals.T.astype(dtype)[:, :, None]
-        proj, counts = _gap_counts(chain[0], chain[1], a, b)
+        rows, proj, counts = _turning_table(gx, gy, a, b, ranges, lo, lo + step)
 
         def replay(flat: int) -> _Replay:
-            row, gap = divmod(flat, counts.shape[1])
+            row = int(rows[flat])
             na, nb = normals[row].tolist()
-            coefs = (2 * na, 2 * nb, int(proj[row, gap] + proj[row, gap + 1]))
-            return _gap_count(poly, coefs), coefs, 1
+            if row not in distinct:
+                distinct[row] = sorted({na * x + nb * y for x, y in zip(xs, ys)})
+            u = distinct[row]
+            k = bisect_left(u, int(proj[flat]))
+            stop, level = int(proj[flat + 1]), int(counts[flat])
+            found = None
+            while u[k] < stop:
+                coefs = (2 * na, 2 * nb, u[k] + u[k + 1])
+                here = _gap_count(poly, coefs), coefs, 1
+                if found is None or here[0] > found[0]:
+                    found = here
+                if found[0] >= level:
+                    break
+                k += 1
+            return found
 
-        best = _replay_descending(counts, replay, best, math.inf)
+        if len(counts):
+            best = _replay_descending(counts, replay, best, math.inf)
     return best
 
 
@@ -947,10 +1091,15 @@ def random_line_oracle(poly: Polyline, trials: int, seed: int) -> MultiplicityRe
     two consecutive distinct projections on a drawn normal gives one line
     through no vertex (`_oracle_best`): a deterministic family of lines for
     a given seed, not a random sample of offsets.  Their crossing counts
+    come from a table of the turning vertices only (`_turning_table`): the
+    count changes only where the height a·X + b·Y turns along the curve,
+    so every gap between two turning projections shares one count.  They
     are replayed in descending order by the exact count of distinct
     crossing places (`_gap_count`), at most (drawn normals) × (edges) of
     them; a line's coefs are built only when it is replayed, and only the
-    best line builds its components.  Coordinates must lie within ±2^500.
+    best line builds its components.  The draw stops once every bucket is
+    drawn, so any trial count takes bounded time and memory.  Coordinates
+    must lie within ±2^500.
     """
     if trials < 1:
         raise PreconditionError("trials must be at least 1")

@@ -205,6 +205,19 @@ class TestMaxLineMultiplicity:
             -4174, 7050, Fraction(20686205567, 31250000)
         )
 
+    def test_oracle_multi_slice_replays_pinned(self, gap_replays):
+        # 49 vertices take 1337 normals per table slice, so the 2048 normals
+        # of 1e5 trials take two slices; the count, the witness and the
+        # number of exact replays pin the replay order across slices
+        poly = half_retraced_loop(32)
+        assert len(poly) == 49 and stabbing._TABLE_ENTRIES // 49 < 2048
+        rep = random_line_oracle(poly, trials=100_000, seed=1)
+        assert len(gap_replays) == 16979
+        assert rep.count == 14
+        assert (rep.witness.nx, rep.witness.ny, rep.witness.c) == (
+            -2908, 7658, Fraction(3525212394477, 1000000000)
+        )
+
     def test_oracle_rejects_zero_trials(self):
         with pytest.raises(PreconditionError):
             random_line_oracle(SQUARE.as_polyline(), trials=0, seed=1)

@@ -3,9 +3,12 @@ force over the whole line arrangement, its candidate scores against the
 sign-vector formula, a batched sweep against sweeps of one curve each, its
 float filter on near-degenerate and large inputs, and its invariance under
 exact similarity motions; the crossing table and the witness screen of
-`_exceeds` against Python-int crossing loops, and the oracle's count
-against the Python-int maximum over every gap line of its drawn normals."""
+`_exceeds` against Python-int crossing loops, the oracle's table of
+turning vertices against the table of every vertex, its bucket draw, and
+its count against the Python-int maximum over every gap line of its drawn
+normals."""
 
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 
@@ -21,6 +24,10 @@ from konvex.geometry import ConvexPolygon, Line, Point, Polyline
 from konvex.random_shapes import random_convex_polygon, random_star_ring, random_walk_polyline
 from konvex.stabbing import (
     _crossing_table,
+    _drawn_buckets,
+    _gap_counts,
+    _turning_ranges,
+    _turning_table,
     line_multiplicity,
     max_line_multiplicity,
     random_line_oracle,
@@ -551,13 +558,13 @@ class TestOracleScreen:
         # one slice, also when the only normals that cross all 8 edges, 2
         # near (0, 4096) for the flat zigzag, lie in a middle slice
         dtypes = []
-        table = stabbing._crossing_table
+        table = stabbing._turning_table
 
-        def recording(xs, ys, a, b):
+        def recording(xs, ys, *args):
             dtypes.append(xs.dtype)
-            return table(xs, ys, a, b)
+            return table(xs, ys, *args)
 
-        monkeypatch.setattr(stabbing, "_crossing_table", recording)
+        monkeypatch.setattr(stabbing, "_turning_table", recording)
         bound = stabbing._ORACLE_BOUND
         flat = Polyline.from_grid(
             1, [30 * k for k in range(9)], [1 if k % 2 else -1 for k in range(9)]
@@ -584,6 +591,87 @@ class TestOracleScreen:
             coefs = [int(v) for v in (report.witness.nx, report.witness.ny,
                                       report.witness.c * poly.grid[0])]
             assert report.count == stabbing._gap_count(poly, coefs)
+
+
+@st.composite
+def turning_cases(draw) -> tuple[Polyline, list[int]]:
+    """A `chains()` polyline and an ascending subset of the oracle's
+    normals, the chain given edges along (-b, a) for some drawn normals
+    (a, b), which rise 0 on them."""
+    xs, ys = draw(chains())
+    picks = sorted(set(draw(st.lists(st.integers(0, stabbing._ORACLE_BUCKETS - 1),
+                                     min_size=1, max_size=12))))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = stabbing._ORACLE_NORMALS[draw(st.sampled_from(picks))].tolist()
+        k = draw(st.sampled_from([-2, -1, 1, 3]))
+        at = draw(st.integers(0, len(xs) - 1))
+        xs = xs[: at + 1] + [xs[at] - k * b] + xs[at + 1 :]
+        ys = ys[: at + 1] + [ys[at] + k * a] + ys[at + 1 :]
+    return chain_polyline((xs, ys)), picks
+
+
+class TestTurningTable:
+    """The oracle's table from turning vertices only against the table of
+    every vertex (`_gap_counts`), and its premise: the oracle's normals lie
+    in strict angular order within (0, π)."""
+
+    def test_normals_in_strict_angular_order(self):
+        a, b = stabbing._ORACLE_NORMALS.T
+        assert (b > 0).all()
+        assert (a[:-1] * b[1:] - b[:-1] * a[1:] > 0).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(turning_cases(), st.data())
+    def test_coarse_gaps_against_every_fine_gap(self, case, data):
+        poly, picks = case
+        _, xs, ys = poly.grid
+        normals = stabbing._ORACLE_NORMALS[picks]
+        lo = data.draw(st.integers(0, len(picks) - 1))
+        hi = data.draw(st.integers(lo + 1, len(picks) + 2))
+        dtypes = [object]
+        if max(map(abs, xs + ys)) <= stabbing._ORACLE_BOUND:
+            dtypes.append(np.int64)
+        for dtype in dtypes:
+            a, b = normals.T.astype(dtype)
+            gx, gy = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+            ranges = _turning_ranges(gx, gy, poly.closed, a, b)
+            rows, proj, counts = _turning_table(gx, gy, a, b, ranges, lo, hi)
+            assert proj.dtype == dtype
+            # the table of every vertex: a closed chain repeats its first vertex
+            chain = [np.array(v + v[: poly.closed], dtype=dtype) for v in (xs, ys)]
+            fine_proj, fine = _gap_counts(*chain, a[:, None], b[:, None])
+            assert set(rows.tolist()) <= set(range(lo, min(hi, len(picks))))
+            for j in range(lo, min(hi, len(picks))):
+                mine = rows == j
+                coarse_proj, coarse = proj[mine].tolist(), counts[mine].tolist()
+                assert coarse_proj == sorted(coarse_proj)
+                every, counted = fine_proj[j].tolist(), fine[j].tolist()
+                for p, q, count in zip(every, every[1:], counted):
+                    if p < q:
+                        # the coarse gap that holds the fine gap p < q;
+                        # below the first turning projection the count is 0
+                        at = bisect_right(coarse_proj, p) - 1
+                        assert count == (coarse[at] if at >= 0 else 0)
+                assert max(coarse, default=0) == max(counted)
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 100, 2048, 16383, 16384, 16385,
+                                        40_000, 100_000, 300_000])
+    def test_bucket_draw_matches_one_draw(self, trials):
+        for seed in range(3):
+            drawn = stabbing._ORACLE_NORMALS[_drawn_buckets(trials, seed)]
+            assert [tuple(n) for n in drawn.tolist()] == drawn_normals(trials, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bucket_draw_stops_once_every_bucket_is_drawn(self, seed):
+        u = np.random.default_rng(seed).random(300_000)
+        buckets = (stabbing._ORACLE_BUCKETS * u).astype(int)
+        first = np.unique(buckets, return_index=True)[1]
+        assert len(first) == stabbing._ORACLE_BUCKETS
+        full = int(first.max()) + 1  # the first trial count that draws every bucket
+        assert len(_drawn_buckets(full - 1, seed)) == stabbing._ORACLE_BUCKETS - 1
+        assert len(_drawn_buckets(10**12, seed)) == stabbing._ORACLE_BUCKETS
+        poly = grid_polyline(np.random.default_rng([49, seed]), 6, 12, closed=bool(seed % 2))
+        assert random_line_oracle(poly, 10**12, seed) == random_line_oracle(poly, full, seed)
 
 
 class TestFloatFilter:
