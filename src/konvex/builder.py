@@ -6,24 +6,24 @@ small arc fraction near a common angular sector, and the next loop passes
 exactly through the previous loop's stopping vertex, so a line can meet
 each loop at most twice: the whole chain stays within the budget r = 2n.
 
-For odd r the innermost loop stops just short of one endpoint of a
-near-diameter chord, and a slightly bowed arc runs down that chord.  Any
-line meeting the bow twice is nearly parallel to the chord and therefore
-passes through the innermost loop's opening, trading one loop crossing
-for the two arc crossings: 2n + 1 = r total.
+For odd r the innermost loop stops near one endpoint of the body's
+diameter, and one segment runs from that stop to the innermost ring's
+vertex farthest from it, a chord close to a diameter.  Both its ends are
+vertices of a strictly convex ring, so it lies inside that ring, and a line
+meets a segment at most once: 2n + 1 = r in total.
 
 None of this is trusted: every result's multiplicity is certified as the
 exact maximum over all lines by the paper's own argument, checked on grid
-ints (`_certify`: 2 per strictly convex loop run, at odd r the exact sweep
-of the innermost loop and the tail, met by one exact gap line), and by the
-whole-curve sweep where that bound does not close.  Construction parameters
-are re-tuned and re-jittered on failure up to max_retries.
+ints (`_certify`: 2 per strictly convex loop run and 1 per edge after the
+last run, met by one exact gap line), and by the whole-curve sweep where
+that bound does not close.  Construction parameters are re-tuned and
+re-jittered on failure up to max_retries.
 
 Samples, rings, runs, junctions and the odd tail are int pairs on the 1e-9
 snap grid, X = round(x·GRID), the value `random_shapes.snap` makes.  Every
-decision (the hull, the junction lookup, the farthest vertex, the bowed
-arc's side and checks, the curve's containment in the body) is a sign or a
-comparison of ints, and the curve is built as `Polyline.from_grid`.  Lengths
+decision (the hull, the junction lookup, the farthest vertex, the curve's
+containment in the body) is a sign or a comparison of ints, and the curve
+is built as `Polyline.from_grid`.  Lengths
 and directions read the float views X/GRID, the bits of `Point.xy` of the
 snapped points.
 """
@@ -38,17 +38,13 @@ import numpy as np
 
 from .errors import ConstructionError, DegeneracyError, PreconditionError
 from .geometry import (
-    INTERIOR,
-    RIGHT,
     ConvexPolygon,
     Polyline,
     _centroid,
-    _classify,
     _convex_run,
     _float_length,
     _hull_indices,
     _inside,
-    _turn,
     diameter,
     perimeter,
     polyline_length,
@@ -57,10 +53,8 @@ from .geometry import (
 from .random_shapes import GRID
 from .stabbing import (
     METHOD_RUNS,
-    METHOD_SWEEP,
     MultiplicityReport,
     _gap_replay,
-    _sweep_best,
     _witness,
     _witness_gaps,
     max_line_multiplicity,
@@ -314,32 +308,6 @@ def _anchor_index(verts: list[tuple[float, float]], direction: tuple[float, floa
     return best
 
 
-def _bowed_arc(
-    a: GridPoint,
-    b: GridPoint,
-    toward: GridPoint,
-    bow: float,
-    m: int,
-) -> list[GridPoint]:
-    """Strictly convex arc from a to b, bulging toward `toward` by a sine
-    bump of height bow; includes both endpoints."""
-    (ax, ay), (bx, by) = _floats((a, b))
-    chord = math.dist((ax, ay), (bx, by))
-    if chord == 0:
-        raise PreconditionError("arc endpoints coincide")
-    side = _turn(*zip(a, b, toward), 0, 1, 2)
-    nx, ny = -(by - ay) / chord, (bx - ax) / chord
-    if side == RIGHT:
-        nx, ny = -nx, -ny
-    pts = [a]
-    for i in range(1, m):
-        t = i / m
-        h = bow * math.sin(math.pi * t)
-        pts.append(_snap(ax + t * (bx - ax) + h * nx, ay + t * (by - ay) + h * ny))
-    pts.append(b)
-    return pts
-
-
 def _chain_loops(
     body: ConvexPolygon,
     params: ConstructionParams,
@@ -349,7 +317,7 @@ def _chain_loops(
     n_loops: int,
     anchor_idx: int,
     anchor_dir: tuple[float, float],
-) -> tuple[list[list[GridPoint]], list[list[GridPoint]], list[int]]:
+) -> tuple[list[list[GridPoint]], list[list[GridPoint]]]:
     """Nested rings plus their opened traversals, chained through junctions.
 
     Ring j sits at depth j * inset inside the body; run j starts at the
@@ -359,7 +327,6 @@ def _chain_loops(
     """
     rings: list[list[GridPoint]] = []
     opens: list[list[GridPoint]] = []
-    starts: list[int] = []
     junction: GridPoint | None = None
     for j in range(1, n_loops + 1):
         ring = _inset_ring(
@@ -402,9 +369,8 @@ def _chain_loops(
             raise DegeneracyError("opened loop too short")
         rings.append(ring)
         opens.append([ring[k] for k in run])
-        starts.append(start_idx)
         junction = opens[-1][-1]
-    return rings, opens, starts
+    return rings, opens
 
 
 def _assemble(opens: list[list[GridPoint]]) -> tuple[list[GridPoint], list[int]]:
@@ -438,73 +404,27 @@ def _farthest_vertex(ring: list[GridPoint], origin: GridPoint) -> GridPoint:
     return max(ring, key=lambda v: (v[0] - ox) ** 2 + (v[1] - oy) ** 2)
 
 
-def _check_arc(inner: list[GridPoint], arc: list[GridPoint], triangle_apex: GridPoint) -> None:
-    """Interior arc vertices must sit strictly inside the inner ring and
-    strictly inside the triangle (apex, far end, stop), and the arc with its
-    chord must be strictly convex (`_convex_run`), so no 3 of its vertices
-    are collinear.  Decided on the grid ints of the ring, the arc and its
-    apex."""
-    xs, ys = (list(c) for c in zip(*arc, triangle_apex))
-    # the ring, with one free slot at the end for the vertex to classify
-    ring_x, ring_y = (list(c) + [0] for c in zip(*inner))
-    a, b, t = 0, len(arc) - 1, len(arc)
-    for p in range(1, b):
-        ring_x[-1], ring_y[-1] = arc[p]
-        if _classify(ring_x, ring_y) != INTERIOR:
-            raise DegeneracyError("arc leaves the inner ring")
-        if not (
-            _turn(xs, ys, a, b, p) == _turn(xs, ys, a, b, t)
-            and _turn(xs, ys, b, t, p) == _turn(xs, ys, b, t, a)
-            and _turn(xs, ys, t, a, p) == _turn(xs, ys, t, a, b)
-        ):
-            raise DegeneracyError("arc leaves its guard triangle")
-    if not _convex_run(xs, ys, a, b):
-        raise DegeneracyError("arc is not strictly convex")
-
-
-def _odd_tail(
-    inner: list[GridPoint], stop: GridPoint, start_idx: int, m: int
-) -> list[GridPoint]:
-    """Bowed arc from the innermost loop's stop to the inner ring vertex
-    farthest from it, bulging toward the loop's start vertex; the stop
-    itself, which ends the loops, is left out."""
-    far = _farthest_vertex(inner, stop)
-    start_vertex = inner[start_idx]
-    bow = max(math.dist(*_floats((stop, start_vertex))) / 12.0, 1e-6)
-    arc = _bowed_arc(stop, far, start_vertex, bow, max(16, m // 8))
-    _check_arc(inner, arc, start_vertex)
-    return arc[1:]
-
-
-def _certify(curve: Polyline, bounds: list[int], r: int) -> MultiplicityReport:
+def _certify(curve: Polyline, bounds: list[int]) -> MultiplicityReport:
     """The curve's maximum multiplicity over all lines, an exact replay.
 
     The curve's pieces are its loop runs (bounds[j]..bounds[j + 1], as
-    `_assemble` joined them) and, at odd r, the innermost run with the tail.
-    A run that `_convex_run` passes meets every line at most twice, and the
-    innermost run with the tail is swept exactly.  Each component of
-    line ∩ curve contains a component of line ∩ piece for some piece, so the
-    pieces' counts sum to a bound U on every line's count.  A gap line of
-    `_witness_gaps` whose exact count reaches U is then a maximum over all
-    lines.  At r = 3 that sub-polyline is the whole curve, and its sweep is
-    the answer.  Otherwise, when a run fails, U > r or no gap line reaches
-    U, the whole curve is swept."""
-    d, xs, ys = curve.grid
-    convex = len(bounds) - 1 - r % 2  # the runs bounded by 2 each
-    bound = 2 * convex
-    if all(_convex_run(xs, ys, bounds[j], bounds[j + 1]) for j in range(convex)):
-        if r % 2:
-            start = bounds[convex]
-            if start == 0:
-                return _witness(curve, _sweep_best([curve], math.inf)[0], METHOD_SWEEP)
-            inner = Polyline.from_grid(d, xs[start:], ys[start:])
-            bound += _sweep_best([inner], math.inf)[0][0]
-        if bound <= r:
-            fits, counts, sums = _witness_gaps([curve])
-            if fits and counts[0].max() >= bound:
-                found = _gap_replay(curve, counts[0], sums[0], bound)
-                if found[0] >= bound:
-                    return _witness(curve, found, METHOD_RUNS)
+    `_assemble` joined them) and the edges after the last run, which at
+    odd r are the tail's one segment.  A run that `_convex_run` passes meets
+    every line in at most two components, and an edge in at most one.  Each
+    component of line ∩ curve contains a component of line ∩ piece for some
+    piece, so the pieces' counts sum to a bound U on every line's count.  A
+    gap line of `_witness_gaps` whose exact count reaches U is then a
+    maximum over all lines.  When a run fails, the grid ints lie beyond the
+    screen's bound or no gap line reaches U, the whole curve is swept."""
+    _, xs, ys = curve.grid
+    runs = len(bounds) - 1
+    if all(_convex_run(xs, ys, bounds[j], bounds[j + 1]) for j in range(runs)):
+        bound = 2 * runs + len(xs) - 1 - bounds[-1]
+        fits, counts, sums = _witness_gaps([curve])
+        if fits and counts[0].max() >= bound:
+            found = _gap_replay(curve, counts[0], sums[0], bound)
+            if found[0] >= bound:
+                return _witness(curve, found, METHOD_RUNS)
     return max_line_multiplicity(curve)
 
 
@@ -513,7 +433,7 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
 
     floor(r/2) nested strictly convex loops, each opened near the common
     sector and entered exactly at the previous loop's stopping vertex; for
-    odd r a bowed arc then runs from the innermost stop to the ring vertex
+    odd r one segment then runs from the innermost stop to the ring vertex
     farthest from it, realizing the near-diameter term of the threshold.
     """
     # An accepted ring has at least _ring_floor(m) distinct vertices on the
@@ -536,22 +456,23 @@ def build_curve(body: ConvexPolygon, params: ConstructionParams) -> Construction
         inset, gap, m_params = default_inset, _GAP, params
         for _shrink in range(12):
             try:
-                rings, opens, starts = _chain_loops(
+                rings, opens = _chain_loops(
                     body, m_params, rng, inset, gap, params.n_loops, anchor_idx, anchor_dir
                 )
-                tail = _odd_tail(rings[-1], opens[-1][-1], starts[-1], m_params.m) if odd else []
             except DegeneracyError:
                 inset /= 2.0
                 if inset < _INSET_FLOOR:
                     break
                 continue
             verts, bounds = _assemble(opens)
-            curve = Polyline.from_grid(GRID, *zip(*(verts + tail)))
+            if odd:  # the tail: a chord of the innermost ring from its stop
+                verts.append(_farthest_vertex(rings[-1], verts[-1]))
+            curve = Polyline.from_grid(GRID, *zip(*verts))
             length = polyline_length(curve)
             longest = max(longest, length)
             if length >= target - 0.9 * params.eps:
                 if _inside(curve, body):
-                    report = _certify(curve, bounds, params.r)
+                    report = _certify(curve, bounds)
                     if report.count <= params.r:
                         return ConstructionResult(curve, length, report, target, retry, params)
                     failing_report = report

@@ -943,29 +943,31 @@ def _turning_ranges(
     most one of the normals, and they sweep less than a half turn, so s_e
     runs from -o to o as j ascends, o = -sign(dX) (o = 1 when dX = 0, where
     s_e is sign(dY) throughout), and is 0 at no more than one j.  One
-    bisection over the normals, for all edges at once, finds z0 <= z1, the
-    first j at which o·s_e reaches 0 and passes it, so a vertex's weight is
-    constant between the at most four breakpoints of its two edges.  Exact
-    in the arrays' dtype: within ±_ORACLE_BOUND, a·dX + b·dY, a difference
-    of two projections, lies below 2^60."""
+    bisection over the normals, for all edges at once, finds z0, the first
+    j at which o·s_e reaches 0, and the edge is given the rise -o before z0
+    and o from z0 on.  That differs from s_e only on a normal perpendicular
+    to the edge, where both its ends have one projection: the rise given
+    there cancels within their group of equal projections, and counts are
+    read only between such groups.  So a vertex's weight is constant
+    between the at most two breakpoints of its two edges.  Exact in the
+    arrays' dtype: within ±_ORACLE_BOUND, a·dX + b·dY, a difference of two
+    projections, lies below 2^60."""
     n, count = len(xs), len(a)
     edges = n if closed else n - 1
     head = np.arange(1, edges + 1) % n
     dx, dy = xs[head] - xs[:edges], ys[head] - ys[:edges]
     orient = np.where(dx > 0, -1, 1)
-    # first j with o·(a_j·dX + b_j·dY) + t > 0: z0 for t = 1, z1 for t = 0
-    ox, oy = np.tile(orient * dx, 2), np.tile(orient * dy, 2)
-    t = np.repeat([1, 0], edges)
-    first = np.zeros(2 * edges, dtype=np.int64)
+    # first j with o·(a_j·dX + b_j·dY) >= 0
+    ox, oy = orient * dx, orient * dy
+    z0 = np.zeros(edges, dtype=np.int64)
     step = 1 << (count.bit_length() - 1)
     while step:
-        probe = np.minimum(first + step - 1, count - 1)
-        below = (first + step <= count) & ~(a[probe] * ox + b[probe] * oy + t > 0)
-        first += np.where(below, step, 0)
+        probe = np.minimum(z0 + step - 1, count - 1)
+        below = (z0 + step <= count) & (a[probe] * ox + b[probe] * oy < 0)
+        z0 += np.where(below, step, 0)
         step >>= 1
     # a last entry for the missing edge of a chain end: 0 on every normal
-    z0, z1 = np.append(first[:edges], 0), np.append(first[edges:], count)
-    orient = np.append(orient, 1)
+    z0, orient = np.append(z0, 0), np.append(orient, 0)
     out, into = np.arange(n), np.arange(n) - 1
     if closed:
         into[0] = n - 1
@@ -974,11 +976,10 @@ def _turning_ranges(
 
     def rise(edge: np.ndarray, j: np.ndarray) -> np.ndarray:
         o = orient[edge]
-        return np.where(j < z0[edge], -o, np.where(j < z1[edge], 0, o))
+        return np.where(j < z0[edge], -o, o)
 
     cuts = np.sort(np.column_stack([
-        np.zeros(n, dtype=np.int64), z0[out], z1[out], z0[into], z1[into],
-        np.full(n, count),
+        np.zeros(n, dtype=np.int64), z0[out], z0[into], np.full(n, count),
     ]), axis=1)
     start, end = cuts[:, :-1], cuts[:, 1:]
     weight = rise(out[:, None], start) - rise(into[:, None], start)

@@ -14,13 +14,11 @@ from konvex.builder import (
     _GAP,
     ConstructionParams,
     _assemble,
-    _bowed_arc,
     _chain_loops,
-    _check_arc,
+    _farthest_vertex,
     _gap_anchor,
     _grid_hull,
     _inset_ring,
-    _odd_tail,
     build_curve,
 )
 from konvex.errors import ConstructionError, DegeneracyError, PreconditionError
@@ -69,16 +67,6 @@ def square_inset_ring(depth, m, seed):
     return Polyline.from_grid(GRID, *zip(*ring), closed=True)
 
 
-def diagonal_arc_points(bow, m):
-    """A bowed arc down the square's diameter chord, bulging toward (0, 1),
-    as build_curve's odd-r tail draws it: its grid points."""
-    return _bowed_arc((0, 0), (GRID, GRID), (0, GRID), bow, m)
-
-
-def diagonal_arc(bow, m):
-    return Polyline.from_grid(GRID, *zip(*diagonal_arc_points(bow, m)))
-
-
 class TestInsetLoop:
     def test_square_depth_001(self):
         loop = square_inset_ring(depth=0.01, m=64, seed=5)
@@ -109,36 +97,37 @@ class TestInsetLoop:
             square_inset_ring(depth=0.0, m=32, seed=1)
 
 
-class TestDiameterChordArc:
-    def test_length_window(self):
-        arc = diagonal_arc(bow=0.01, m=32)
-        d = math.sqrt(2)
-        assert d <= polyline_length(arc) <= d + 4 * 0.01
-        assert not arc.closed
+class TestSegmentTail:
+    """At odd r the tail is one segment: from the innermost run's stop to
+    the innermost ring's vertex farthest from it."""
 
-    def test_small_bow_limit(self):
-        arc = diagonal_arc(bow=1e-6, m=16)
-        assert polyline_length(arc) == pytest.approx(math.sqrt(2), abs=1e-5)
+    @pytest.mark.parametrize(
+        "body, r, m",
+        [(SQUARE, 3, 96), (SQUARE, 5, 96), (TRIANGLE, 3, 96), (GON40, 3, 128), (GON40, 5, 96)],
+        ids=["square-r3", "square-r5", "triangle-r3", "gon40-r3", "gon40-r5"],
+    )
+    def test_tail_is_the_farthest_ring_vertex(self, monkeypatch, body, r, m):
+        chains = []
 
-    def test_no_three_vertices_collinear(self):
-        arc = diagonal_arc(bow=0.01, m=24)
-        verts = arc.vertices
-        n = len(verts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    assert orientation(verts[i], verts[j], verts[k]) != 0
+        def record(*args):
+            chains.append(chain(*args))
+            return chains[-1]
 
-    def test_bow_too_large(self):
-        arc = diagonal_arc_points(bow=0.9, m=16)
-        with pytest.raises(DegeneracyError, match="leaves the inner ring"):
-            _check_arc(SQUARE_GRID, arc, (0, GRID))
-
-    def test_interior_vertices_inside_body(self):
-        arc = diagonal_arc(bow=0.02, m=16)
-        for v in arc.vertices[1:-1]:
-            assert contains(SQUARE, v) == INTERIOR
-        _check_arc(SQUARE_GRID, diagonal_arc_points(bow=0.02, m=16), (0, GRID))
+        chain = builder._chain_loops
+        monkeypatch.setattr(builder, "_chain_loops", record)
+        curve = pinned_build(body, r, m=m).curve
+        rings, opens = chains[-1]
+        loops = _assemble(opens)[0]
+        _, xs, ys = curve.grid
+        points = list(zip(xs, ys))
+        # the loops, then one vertex: the closing edge runs from the stop
+        assert points[:-1] == loops
+        stop, far = points[-2], points[-1]
+        assert stop == opens[-1][-1]
+        assert far in rings[-1]
+        reach = [(x - stop[0]) ** 2 + (y - stop[1]) ** 2 for x, y in rings[-1]]
+        assert (far[0] - stop[0]) ** 2 + (far[1] - stop[1]) ** 2 == max(reach)
+        assert far == _farthest_vertex(rings[-1], stop)
 
 
 @st.composite
@@ -182,10 +171,10 @@ def test_rings_tail_and_containment_make_no_fraction(monkeypatch, body, r):
 
     def run():
         rng = np.random.default_rng([params.seed, 10_000 * (r % 2)])
-        rings, opens, starts = _chain_loops(
+        rings, opens = _chain_loops(
             body, params, rng, inset, _GAP, params.n_loops, anchor_idx, anchor_dir
         )
-        tail = _odd_tail(rings[-1], opens[-1][-1], starts[-1], params.m) if r % 2 else []
+        tail = [_farthest_vertex(rings[-1], opens[-1][-1])] if r % 2 else []
         curve = Polyline.from_grid(GRID, *zip(*(_assemble(opens)[0] + tail)))
         return curve, _inside(curve, body)
 
@@ -239,6 +228,14 @@ class TestBuildOdd:
         assert result.achieved_length >= 8 + math.sqrt(2) - 0.5
         assert result.multiplicity.count <= 5
 
+    def test_thin_square(self):
+        # a 1e-5 square: the inset rings are a few thousand grid steps apart
+        side = "1e-5"
+        body = ConvexPolygon((Point(0, 0), Point(side, 0), Point(side, side), Point(0, side)))
+        result = build_curve(body, ConstructionParams(r=3, eps=0.05 * s_bound(body, 3), m=96, seed=1))
+        assert result.multiplicity.count == 3
+        assert result.achieved_length >= 0.95 * s_bound(body, 3)
+
     def test_rejects_r1(self):
         with pytest.raises(PreconditionError):
             ConstructionParams(r=1, eps=0.1)
@@ -280,7 +277,7 @@ class TestOddCaseDiameterCapture:
     def test_r3_curve_reaches_near_diameter(self):
         result = build_curve(SQUARE, ConstructionParams(r=3, eps=0.3, m=128, seed=1))
         d, _, _ = diameter(SQUARE)
-        # the bowed arc spans close to the body diameter
+        # the tail's segment spans close to the body diameter
         assert result.achieved_length >= 4 + d - 0.3
 
 
@@ -288,8 +285,8 @@ class TestPinnedOutput:
     """sha256 of serialize_polyline(curve) and of to_json(result) at
     eps = 0.05 s, m = 96, seed 7.  The curve digest shows any change to the
     construction's arithmetic or its random stream; the sidecar digest also
-    covers the certificate's witness line, method tag and components: at
-    r = 3 the sweep's, at r = 2, 4 and 5 a convex-run gap line's."""
+    covers the certificate's witness line, method tag and components: a
+    convex-run gap line's at every r."""
 
     @pytest.mark.parametrize(
         "body, r, curve_digest, sidecar_digest",
@@ -303,8 +300,8 @@ class TestPinnedOutput:
             (
                 SQUARE,
                 3,
-                "f6030a4a5cf871bd940466efe639ddf15ec7a821448de5bf7e60557bc9c91503",
-                "68fbc6a2779e7934477168ced3a6206ad9cf49b37bbd7bded48ca58088c87259",
+                "edb8903d3df379db3628b553a05984cb090115e38fed92b630e5851222b5fb15",
+                "38756a5882209867e96c94fffde99418d101d4571bbac428425d91fed36769d6",
             ),
             (
                 SQUARE,
@@ -315,14 +312,14 @@ class TestPinnedOutput:
             (
                 SQUARE,
                 5,
-                "c454c2150a5ccfca414bd435887e56207aff10c02ac75f95b6a28cfda43c083b",
-                "708e80c29e749192dbe3e269b37f3e5adeb317435e2c92769f482c320182c21e",
+                "43925a5e2b497da04e42976c22a39b40de5c1eb4127b52831119cd8c340a3d4c",
+                "624951f7dc6a90836a328ed05184ad8e3e3313f05e324441046aadaba1741b0b",
             ),
             (
                 TRIANGLE,
                 3,
-                "b2586826942571c5e3685a95f319995655548a22ea16563409095756258ec17b",
-                "156d27e3b31d8bb805512ae1216c1d726a88083778063733763bb3971fe04ab9",
+                "950234d921728014d8d66d4dceece38a1216a1374390e24e930709c9e628ea8e",
+                "e0757c06c1a6cab55e4ebad31c490fa78a462a9b4af9f787909f71d1e99d0cef",
             ),
         ],
         ids=["square-r2", "square-r3", "square-r4", "square-r5", "triangle-r3"],
@@ -341,8 +338,8 @@ def pinned_build(body, r, m=96, seed=7):
 
 
 class TestCertificate:
-    """The builder's bound (2 per convex loop run, plus at odd r the exact
-    sweep of the innermost loop and the tail) met by one exact gap line."""
+    """The builder's bound (2 per convex loop run, plus 1 per edge after
+    the last run) met by one exact gap line."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -363,9 +360,49 @@ class TestCertificate:
         assert report.count == max_line_multiplicity(result.curve).count <= r
         assert line_multiplicity(report.witness, result.curve).count == report.count
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["square", "triangle", "gon40"]),
+        st.integers(1, 2),
+        st.sampled_from([16, 24, 32]),
+        st.integers(0, 10**6),
+        st.floats(0, math.pi),
+        st.lists(st.floats(-1, 1), min_size=1, max_size=3),
+        st.sampled_from([1e-3, 1e-2, 1.0]),
+    )
+    def test_edges_after_the_runs_count_one_each(self, name, n_loops, m, seed, angle, ts, h):
+        # a chain of convex runs and 1 to 3 edges after it, to grid points
+        # in the body: a zigzag across the line through the centroid at
+        # `angle`, its first point on the far side from the stop, so that
+        # lines near that one cross every edge and few gap lines do
+        body = {"square": SQUARE, "triangle": TRIANGLE, "gon40": GON40}[name]
+        params = ConstructionParams(r=2 * n_loops, eps=0.05 * s_bound(body, 2 * n_loops), m=m)
+        inset = params.eps / (8.0 * n_loops)
+        try:
+            _, opens = _chain_loops(
+                body, params, np.random.default_rng(seed), inset, _GAP, n_loops, *_gap_anchor(body)
+            )
+        except DegeneracyError:
+            assume(False)
+        verts, bounds = _assemble(opens)
+        cx, cy = body.centroid()
+        size = 0.1 * float(diameter(body)[0])
+        ux, uy = math.cos(angle), math.sin(angle)
+        side = -1 if ux * (verts[-1][1] / GRID - cy) > uy * (verts[-1][0] / GRID - cx) else 1
+        for t in sorted(ts):
+            x, y = cx + size * (t * ux - side * h * uy), cy + size * (t * uy + side * h * ux)
+            point = (round(x * GRID), round(y * GRID))
+            assume(point != verts[-1])
+            verts.append(point)
+            side = -side
+        curve = Polyline.from_grid(GRID, *zip(*verts))
+        report = builder._certify(curve, bounds)
+        assert report.count == max_line_multiplicity(curve).count
+        assert line_multiplicity(report.witness, curve).count == report.count
+
     def test_no_pinned_acceptance_or_workload_curve_sweeps_the_whole_curve(self, monkeypatch):
-        def refuse(curve):
-            raise AssertionError("the whole curve was swept")
+        def refuse(*args):
+            raise AssertionError("a curve was swept")
 
         bounds = []
 
@@ -375,6 +412,7 @@ class TestCertificate:
 
         replay = builder._gap_replay
         monkeypatch.setattr(builder, "max_line_multiplicity", refuse)
+        monkeypatch.setattr(stabbing, "_sweep_best", refuse)
         monkeypatch.setattr(builder, "_gap_replay", record)
         builds = [(SQUARE, r, 96, 7) for r in (2, 3, 4, 5)] + [(TRIANGLE, 3, 96, 7)]  # pinned
         builds += [(SQUARE, r, 160 if r >= 5 else 128, 1) for r in (2, 3, 4, 5, 6)]  # criterion 3
@@ -382,9 +420,9 @@ class TestCertificate:
             builds += [(SQUARE, r, 96 if r >= 5 else 128, seed) for r in (2, 3, 4, 5, 6)]
             builds.append((GON40, 3, 128, seed))
         methods = Counter(pinned_build(*build).multiplicity.method for build in builds)
-        assert methods == {METHOD_RUNS: 15, METHOD_SWEEP: 7}
+        assert methods == {METHOD_RUNS: 22}
         # the bound U the gap line meets is r itself on each of them
-        assert bounds == [r for _, r, _, _ in builds if r != 3]
+        assert bounds == [r for _, r, _, _ in builds]
 
     def test_even_curves_beyond_the_sweeps_budget(self):
         # the sweep refuses curves of more than 8192 vertices; the convex
@@ -399,7 +437,7 @@ class TestCertificate:
         [
             (2, "run refused", "48a0649730dc166cc47747e96d6dafbdf1c7182218240327ccc9b5c4a5a0b1e5"),
             (4, "gap line short", "9f02a3c58f76619c55cd3e09dcf16f14743f93f8ea322bcec9c6302b27ca3bc9"),
-            (5, "beyond the screen", "0f7ad40a2c942f39b6881bc77b05a8c3c9cd8db55a21e0d875cbce9eb182a6e8"),
+            (5, "beyond the screen", "209102ea62317a8357d4ce6166ce10ca79e1525845335886fcf41d040dc590ee"),
         ],
     )
     def test_fallback_is_the_sweeps_report(self, monkeypatch, r, forced, sidecar_digest):

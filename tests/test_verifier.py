@@ -243,7 +243,7 @@ class TestPinnedFalsify:
         [
             (3, 40, 508, "0f76cb1b56562d31179ed7dfa3ece71427f49f4f754e5c49e0fe1aaa633c24b9"),
             (5, 40, 510, "19627584d4d9a0b7281cce93800f18e084a32d334d9bb802c7d967338ec324cf"),
-            (3, 60, 508, "4ebdf17e51318d6f6051e1410e538f3d514189818ee139f0e999aa8648f2ae0c"),
+            (3, 60, 508, "e928cdb6bdf092136300df5e7a1315b6157e1b0a2033c49c65821527f514e51c"),
         ],
     )
     def test_json_bytes(self, tmp_path, capsys, r, trials, seed, digest):
